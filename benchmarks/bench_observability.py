@@ -121,8 +121,11 @@ def run_bench():
     # Sanity: the observed arms actually observed something.
     traced_res = run_engine(Tracer(clock="steps"))
     live_res = run_engine(Tracer(clock="steps"), LiveConfig(interval_s=CADENCE_S))
+    from _common import identity_block
+
     return {
         "schema": SCHEMA,
+        "identity": identity_block("engine+threaded", measured=True),
         "problem": {"set": "7pt", "size": SIZE, "tmax": TMAX},
         "best_of": BEST_OF,
         "cadence_s": CADENCE_S,

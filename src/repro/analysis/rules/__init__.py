@@ -19,7 +19,19 @@ from typing import TYPE_CHECKING, List, Tuple, Type
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..project import ParsedModule, ProjectIndex
 
-__all__ = ["Finding", "Rule", "ALL_RULES", "rule_by_code"]
+__all__ = ["EXECUTOR_MODULES", "Finding", "Rule", "ALL_RULES", "rule_by_code"]
+
+#: Every module holding a correction loop or the supervisor loop of an
+#: asynchronous executor — the scope of the hot-loop rules (RPR001,
+#: RPR006, RPR007).
+EXECUTOR_MODULES: Tuple[str, ...] = (
+    "core/run.py",
+    "core/engine.py",
+    "core/threaded.py",
+    "core/parallel.py",
+    "distributed/simulator.py",
+    "serve/batch.py",
+)
 
 
 @dataclass

@@ -9,7 +9,8 @@ benchmark sizes costs more than the arithmetic it feeds.  This rule
 flags the allocating constructors — ``np.zeros`` / ``np.empty`` /
 ``np.ones`` / ``np.arange`` / ``np.repeat`` / ``np.zeros_like`` /
 ``np.empty_like`` — and ``.tocsr()`` / ``.tocsc()`` format
-conversions inside any ``for``/``while`` loop of the three executors.
+conversions inside any ``for``/``while`` loop of the executor modules
+(``EXECUTOR_MODULES``).
 Hoist the buffer out of the loop, take one from
 :func:`repro.kernels.scratch`, or route the operation through a
 kernel (which owns its temporaries).  Allocations that are genuinely
@@ -23,7 +24,7 @@ from __future__ import annotations
 import ast
 from typing import List, Set
 
-from . import Finding, Rule
+from . import EXECUTOR_MODULES, Finding, Rule
 
 __all__ = ["HotLoopAllocationRule"]
 
@@ -55,11 +56,7 @@ class HotLoopAllocationRule(Rule):
         "scratch(), or route the operation through a repro.kernels "
         "kernel"
     )
-    scope = (
-        "core/engine.py",
-        "core/threaded.py",
-        "distributed/simulator.py",
-    )
+    scope = EXECUTOR_MODULES
 
     def check(self, tree: ast.AST, source: str, relpath: str) -> List[Finding]:
         findings: List[Finding] = []

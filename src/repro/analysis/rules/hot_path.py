@@ -8,7 +8,8 @@ reintroduces exactly the costs the tracer avoids — stream locks
 serialize the workers, formatting allocates, and a single debug print
 inside a threaded correction loop can dominate a small solve.  This
 rule flags ``print`` and ``logging``/logger calls that appear inside
-any ``for``/``while`` loop of the three executors; emit a typed event
+any ``for``/``while`` loop of the executor modules
+(``EXECUTOR_MODULES``); emit a typed event
 through :meth:`repro.observe.Tracer.record` (or ``record_here``)
 instead, and let the exporters do the formatting after the run.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import ast
 from typing import List, Set
 
-from . import Finding, Rule
+from . import EXECUTOR_MODULES, Finding, Rule
 
 __all__ = ["HotPathEmissionRule"]
 
@@ -48,11 +49,7 @@ class HotPathEmissionRule(Rule):
         "record a typed event via Tracer.record()/record_here() and "
         "export it after the run"
     )
-    scope = (
-        "core/engine.py",
-        "core/threaded.py",
-        "distributed/simulator.py",
-    )
+    scope = EXECUTOR_MODULES
 
     def check(self, tree: ast.AST, source: str, relpath: str) -> List[Finding]:
         findings: List[Finding] = []

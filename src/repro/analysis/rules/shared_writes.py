@@ -10,18 +10,19 @@ torn-write race, and even in the sequential executors it silently
 changes which consistency model the run implements.
 
 The rule flags direct mutation (augmented assignment, or subscript
-assignment) of the shared vectors in the three executor modules.  The
-sequential engine and the discrete-event simulator *are* their own
-serialization points — their commit sites carry
+assignment) of the shared vectors in the executor modules
+(``EXECUTOR_MODULES``).  The sequential engine and the discrete-event
+simulator *are* their own serialization points — their commit sites
+carry
 ``# repro: noqa[RPR001] <why this is the serialization point>``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Tuple
+from typing import List
 
-from . import Finding, Rule
+from . import EXECUTOR_MODULES, Finding, Rule
 
 __all__ = ["SharedWriteDisciplineRule"]
 
@@ -49,11 +50,7 @@ class SharedWriteDisciplineRule(Rule):
         "use WritePolicy.add / WritePolicy.assign_slice, or add "
         "'# repro: noqa[RPR001] <reason>' at a proven serialization point"
     )
-    scope: Tuple[str, ...] = (
-        "core/threaded.py",
-        "core/engine.py",
-        "distributed/simulator.py",
-    )
+    scope = EXECUTOR_MODULES
 
     def check(self, tree: ast.AST, source: str, relpath: str) -> List[Finding]:
         findings: List[Finding] = []

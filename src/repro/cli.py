@@ -240,18 +240,16 @@ def _cmd_solve(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        stalled = getattr(res, "stalled", False)
-        degraded = getattr(res, "degraded", False)
-        deg_txt = f"degraded = {degraded}, " if elastic_requested else ""
+        deg_txt = f"degraded = {res.degraded}, " if elastic_requested else ""
         print(
             f"{label}: relres = {res.rel_residual:.6e}, "
             f"corrects = {res.corrects:.1f}, diverged = {res.diverged}, "
-            f"{deg_txt}stalled = {stalled} "
-            f"[kernels: {getattr(res, 'kernel_backend', kernels.current_backend())}]"
+            f"{deg_txt}stalled = {res.stalled} "
+            f"[kernels: {res.kernel_backend}]"
         )
         if faults is not None or guard is not None:
             print(f"faults/guards: {res.telemetry.summary()}")
-        live_sum = getattr(res, "live_summary", None)
+        live_sum = res.live_summary
         if live_sum is not None:
             print(live_sum.oneline())
             for alert in live_sum.alerts:
@@ -260,7 +258,7 @@ def _cmd_solve(args) -> int:
                 print(f"snapshots: wrote {args.snapshots} (view: repro top {args.snapshots})")
             if live_sum.profile is not None and live_sum.profile.samples:
                 print(live_sum.profile.table())
-        if elastic_requested and getattr(res, "membership", None):
+        if elastic_requested and res.membership:
             census = ", ".join(f"{k}={v}" for k, v in res.membership.items() if v)
             print(f"membership: {census}")
         if tracer is not None:
@@ -297,84 +295,46 @@ def _dispatch_async(
     args, solver, problem, faults, guard, tracer=None, churn=None, live=None
 ):
     """Run the chosen async backend; returns (result, display label)."""
-    if args.backend == "engine":
-        res = run_async_engine(
-            solver,
-            problem.b,
-            tmax=args.tmax,
-            rescomp=args.rescomp,
-            write=args.write,
-            criterion=args.criterion,
-            alpha=args.alpha,
-            seed=args.seed,
-            faults=faults,
-            guard=guard,
-            tracer=tracer,
-            live=live,
-            # Traced runs want the residual-vs-time series; the engine
-            # only snapshots residuals it is computing anyway.
-            track_trace=tracer is not None,
-        )
-        label = f"async {args.method} ({args.rescomp}-res, {args.write}-write, {args.criterion})"
-    elif args.backend == "threaded":
-        res = run_threaded(
-            solver,
-            problem.b,
-            tmax=args.tmax,
-            rescomp=args.rescomp,
-            write=args.write,
-            criterion=args.criterion,
-            faults=faults,
-            guard=guard,
-            tracer=tracer,
-            live=live,
-        )
-        label = f"threaded {args.method} ({args.rescomp}-res, {args.write}-write, {args.criterion})"
-    elif args.backend == "procs":
-        res = run_procs(
-            solver,
-            problem.b,
-            tmax=args.tmax,
-            rescomp=args.rescomp,
-            write=args.write,
-            criterion=args.criterion,
-            workers=args.workers,
-            deterministic=args.deterministic,
-            alpha=args.alpha,
-            seed=args.seed,
-            faults=faults,
-            guard=guard,
-            tracer=tracer,
-            live=live,
-        )
-        mode = "deterministic" if args.deterministic else f"{args.write}-write"
-        label = (
-            f"procs[{res.workers}] {args.method} "
-            f"({args.rescomp}-res, {mode}, {args.criterion})"
-        )
-    else:  # distributed
+    common = dict(
+        tmax=args.tmax,
+        criterion=args.criterion,
+        faults=faults,
+        guard=guard,
+        tracer=tracer,
+        live=live,
+    )
+    if args.backend == "distributed":
         elastic = None
         if args.elastic or churn is not None or args.ranks is not None:
             elastic = ElasticityPolicy(seed=args.seed)
         res = simulate_distributed(
             solver,
             problem.b,
-            tmax=args.tmax,
             strategy="global" if args.rescomp != "local" else "local",
             network=NetworkModel(seed=args.seed),
-            criterion=args.criterion,
             seed=args.seed,
-            faults=faults,
-            guard=guard,
-            tracer=tracer,
-            live=live,
             track_trace=tracer is not None,
             elastic=elastic,
             churn=churn,
             nranks=args.ranks,
+            **common,
         )
-        label = f"distributed {args.method} ({res.strategy}-res, {args.criterion})"
-    return res, label
+        return res, f"distributed {args.method} ({res.strategy}-res, {args.criterion})"
+    common.update(rescomp=args.rescomp, write=args.write)
+    modes = f"{args.rescomp}-res, {args.write}-write, {args.criterion}"
+    if args.backend == "threaded":
+        return run_threaded(solver, problem.b, **common), f"threaded {args.method} ({modes})"
+    common.update(alpha=args.alpha, seed=args.seed)
+    if args.backend == "engine":
+        # Traced runs want the residual-vs-time series; the engine
+        # only snapshots residuals it is computing anyway.
+        res = run_async_engine(solver, problem.b, track_trace=tracer is not None, **common)
+        return res, f"async {args.method} ({modes})"
+    res = run_procs(
+        solver, problem.b, workers=args.workers, deterministic=args.deterministic, **common
+    )
+    mode = "deterministic" if args.deterministic else f"{args.write}-write"
+    return res, f"procs[{res.workers}] {args.method} ({args.rescomp}-res, {mode}, {args.criterion})"
 
 
 def _cmd_models(args) -> int:

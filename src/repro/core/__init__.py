@@ -8,10 +8,12 @@
 - :mod:`repro.core.models`    — the four asynchronous models: semi-
   async (Eq. 6), full-async solution-based (Eq. 7) and residual-based
   (Eq. 10) simulators.
-- :mod:`repro.core.criteria`  — convergence Criterion 1 / Criterion 2
-  (Section V).
 - :mod:`repro.core.writes`    — lock-write / atomic-write / unsafe
   write policies for shared vectors (Section IV).
+- :mod:`repro.core.run`       — the run harness every executor shares:
+  run context (faults, guard, tracing, live telemetry), the
+  Criterion 1 / 2 stopping rule (Section V), the one result type and
+  the threaded/procs supervisor.
 - :mod:`repro.core.engine`    — the sequential micro-step executor of
   Algorithm 5 (global-res and local-res) with deterministic seeding.
 - :mod:`repro.core.threaded`  — the real-thread shared-memory executor
@@ -31,16 +33,11 @@ from .models import (
     simulate_full_async_solution,
     simulate_full_async_residual,
 )
-from .criteria import Criterion1, Criterion2
 from .writes import WritePolicy, LockWrite, AtomicWrite, UnsafeWrite, make_write_policy
-from .engine import AsyncEngineResult, run_async_engine
+from .run import Criterion, RunContext, RunResult
+from .engine import run_async_engine
 from .threaded import run_threaded
-from .parallel import (
-    ProcsResult,
-    SetupBundle,
-    SharedVectors,
-    run_procs,
-)
+from .parallel import SetupBundle, SharedVectors, run_procs
 from .perfmodel import MachineParams, PerfModel
 
 __all__ = [
@@ -51,17 +48,16 @@ __all__ = [
     "simulate_semi_async",
     "simulate_full_async_solution",
     "simulate_full_async_residual",
-    "Criterion1",
-    "Criterion2",
     "WritePolicy",
     "LockWrite",
     "AtomicWrite",
     "UnsafeWrite",
     "make_write_policy",
-    "AsyncEngineResult",
+    "Criterion",
+    "RunContext",
+    "RunResult",
     "run_async_engine",
     "run_threaded",
-    "ProcsResult",
     "SetupBundle",
     "SharedVectors",
     "run_procs",

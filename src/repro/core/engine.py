@@ -37,72 +37,32 @@ Write policies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from .. import kernels
 from ..linalg import two_norm
-from ..resilience import FaultInjector, FaultPlan, FaultTelemetry, Guard, GuardPolicy
-from .criteria import Criterion1, Criterion2
+from ..resilience import FaultPlan, GuardPolicy
+from .run import (
+    RESCOMP,
+    Criterion,
+    RunContext,
+    RunResult,
+    check_choice,
+    exploded,
+    final_verdict,
+    row_blocks,
+    start_residual,
+)
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.observe
-    from ..observe.live import LiveConfig, LiveSummary
-    from ..observe.tracer import Tracer, TraceSummary
+    from ..observe.live import LiveConfig
+    from ..observe.tracer import Tracer
 
-__all__ = ["AsyncEngineResult", "run_async_engine"]
+__all__ = ["run_async_engine"]
 
-_RESCOMP = ("local", "global", "rupdate")
 _WRITE = ("lock", "atomic")
-
-
-@dataclass
-class AsyncEngineResult:
-    """Outcome of a sequential Algorithm-5 run.
-
-    ``corrects`` follows the paper's Table-I definition: the average
-    number of corrections per grid.  ``vcycles`` is the configured
-    ``tmax`` (one "V-cycle" = one correction from every grid).
-    """
-
-    x: np.ndarray
-    rel_residual: float
-    counts: np.ndarray
-    micro_steps: int
-    speeds: np.ndarray
-    diverged: bool = False
-    residual_trace: List[float] = field(default_factory=list)
-    activity_trace: List[Tuple[int, int, int]] = field(default_factory=list)
-    """``(grid, start_microstep, end_microstep)`` spans of each
-    correction in scheduler (logical) time — render with
-    :func:`repro.utils.ascii_timeline` to see the interleaving."""
-    checkpoint_results: List[Tuple[int, float, float]] = field(default_factory=list)
-    """``(vcycles, rel_residual, corrects)`` at each requested checkpoint.
-
-    Valid with criterion 2, where a longer run passes through exactly
-    the states of shorter runs: the snapshot at ``min(counts) == c`` is
-    what a run with ``tmax = c`` would have produced."""
-    stalled: bool = False
-    """True when a fault-injected run ended without satisfying its
-    stopping criterion (a permanently dead grid under criterion 2, or a
-    stall past the micro-step budget) — the paper's "no deadlock"
-    claim shows up here as a stalled-but-finite run, never a hang."""
-    telemetry: FaultTelemetry = field(default_factory=FaultTelemetry)
-    """Injected-fault and guard-action counters (all zero for a
-    fault-free run)."""
-    trace_summary: Optional["TraceSummary"] = None
-    """Compact digest of the recorded trace when the run was handed a
-    :class:`~repro.observe.Tracer` (None otherwise)."""
-    kernel_backend: str = "numpy"
-    """Active :mod:`repro.kernels` backend the run executed with."""
-    live_summary: Optional["LiveSummary"] = None
-    """Live-telemetry digest (snapshots, alerts, profile) when the run
-    was configured with ``live=LiveConfig(...)`` (None otherwise)."""
-
-    @property
-    def corrects(self) -> float:
-        return float(self.counts.mean())
 
 
 def _grid_coroutine(
@@ -113,8 +73,8 @@ def _grid_coroutine(
     nchunks: int,
     n: int,
     rows: Tuple[int, int],
-    correction_fn: Optional[Callable[[int, np.ndarray], np.ndarray]] = None,
-    r0: Optional[np.ndarray] = None,
+    correct: Callable[[int, np.ndarray], np.ndarray],
+    r0: np.ndarray,
 ) -> Generator:
     """Coroutine for grid ``k``; yields (op, payload) micro-steps.
 
@@ -133,10 +93,10 @@ def _grid_coroutine(
         if bounds[i + 1] > bounds[i]
     ]
 
-    correct = solver.correction if correction_fn is None else correction_fn
-    # Initialize r^k = b (Algorithm 5 line 1); a restarted grid is
-    # re-synced with the residual of the shared iterate instead.
-    r_local = b.copy() if r0 is None else np.array(r0, dtype=np.float64)
+    # The grid's own copy of its starting residual (Algorithm 5 line 1,
+    # b - A x0); a restarted grid is re-synced with the residual of the
+    # shared iterate instead.
+    r_local = np.array(r0, dtype=np.float64)
     # Steady-state buffers, allocated once per coroutine: the iterate
     # snapshot, the recomputed residual, and (mode-dependent) the A·e
     # product / owned-row refresh slice.  The kernel layer fills these
@@ -205,7 +165,7 @@ def run_async_engine(
     guard: Optional[GuardPolicy] = None,
     tracer: Optional["Tracer"] = None,
     live: Optional["LiveConfig"] = None,
-) -> AsyncEngineResult:
+) -> RunResult:
     """Run asynchronous additive multigrid (Algorithm 5), sequentially.
 
     Parameters
@@ -255,112 +215,53 @@ def run_async_engine(
         guard checkpoints), so tracing itself adds no SpMV.  The digest
         lands on ``result.trace_summary``.
     live:
-        Optional :class:`~repro.observe.live.LiveConfig`.  Starts the
-        streaming snapshot collector (and optional scrape endpoint /
-        JSONL stream / sampling profiler) alongside the run; implies
-        tracing (a ``clock="steps"`` tracer is created when none was
-        given) and ``track_trace`` (detectors need residual events).
-        The live layer only *reads* — it never touches the RNG or the
-        iterate — so a live run's algorithmic results are identical to
-        the same run without it.  An ``alert_stop`` alert ends the run
-        early at the next correction boundary (reported as
-        ``stalled``).  The digest lands on ``result.live_summary``.
+        Optional :class:`~repro.observe.live.LiveConfig` (see
+        :class:`~repro.core.run.RunContext`); also implies
+        ``track_trace``, since the detectors need residual events.  An
+        ``alert_stop`` alert ends the run at the next correction
+        boundary.
     """
     if checkpoints and criterion != "criterion2":
         raise ValueError("checkpoints require criterion2 semantics")
-    if rescomp not in _RESCOMP:
-        raise ValueError(f"rescomp must be one of {_RESCOMP}")
-    if write not in _WRITE:
-        raise ValueError(f"write must be one of {_WRITE}")
+    check_choice("rescomp", rescomp, RESCOMP)
+    check_choice("write", write, _WRITE)
     if nchunks < 1:
         raise ValueError("nchunks must be >= 1")
-    live_session = None
-    if live is not None:
-        from ..observe.live import start_live
-
-        if tracer is None:
-            from ..observe.tracer import Tracer as _Tracer
-
-            tracer = _Tracer(clock="steps")
-        track_trace = True  # detectors need residual events
-        live_session = start_live(live, tracer, backend="engine")
     n = solver.n
     ngrids = solver.ngrids
+    A = solver.A
+    nb = two_norm(b) or 1.0
+    ctx = RunContext("engine", ngrids, nb, faults, guard, tracer, live, clock="steps")
+    tracer = ctx.tracer
+    track_trace = track_trace or live is not None  # detectors need residual events
+    grd = ctx.guard
     rng = np.random.default_rng(seed)
     speeds = rng.uniform(alpha, 1.0, size=ngrids)
-
-    crit = (
-        Criterion1(ngrids, tmax) if criterion == "criterion1" else Criterion2(ngrids, tmax)
-    )
+    crit = Criterion(criterion, tmax, ngrids)
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    r = b - solver.A @ x  # shared residual (global / rupdate modes)
-
-    # Row ownership for the global-res no-wait parfor: contiguous row
-    # blocks proportional to the grids' thread shares; we use the
-    # work-proportional partition from Section IV.
-    work = solver.work_per_grid()
-    shares = np.maximum(work / work.sum(), 1e-6)
-    cuts = np.concatenate([[0.0], np.cumsum(shares) / shares.sum()])
-    row_bounds = np.round(cuts * n).astype(np.int64)
-    rows = [(int(row_bounds[k]), int(row_bounds[k + 1])) for k in range(ngrids)]
-
+    r = b - A @ x  # shared residual (global / rupdate modes)
+    rows = row_blocks(solver.work_per_grid(), n)
     eff_chunks = 1 if write == "lock" else nchunks
-    nb = two_norm(b) or 1.0
+    # A rejected correction is simply skipped: the grid recomputes next
+    # round (Coleman-style extra work, not divergence).
+    correct = ctx.correction_fn(solver.correction)
 
-    telemetry = FaultTelemetry()
-    injector = (
-        FaultInjector(faults, ngrids)
-        if faults is not None and faults.active
-        else None
-    )
-    grd = Guard(guard, nb, telemetry) if guard is not None else None
+    def spawn(k: int, r0: np.ndarray) -> Generator:
+        return _grid_coroutine(solver, k, b, rescomp, eff_chunks, n, rows[k], correct, r0)
 
-    corr_fn: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
-    if injector is not None or grd is not None:
-
-        def corr_fn(kk: int, r_in: np.ndarray) -> np.ndarray:
-            e = solver.correction(kk, r_in)
-            if injector is not None:
-                e = injector.corrupt(e, telemetry)
-            if grd is not None:
-                screened = grd.screen(e)
-                # A rejected correction is simply skipped: the grid
-                # recomputes next round (Coleman-style extra work, not
-                # divergence).
-                e = np.zeros(n) if screened is None else screened
-            return e
-
-    def spawn(k: int, r0: Optional[np.ndarray] = None) -> Generator:
-        return _grid_coroutine(
-            solver,
-            k,
-            b,
-            rescomp,
-            eff_chunks,
-            n,
-            rows[k],
-            correction_fn=corr_fn,
-            r0=r0,
-        )
-
-    gens = [spawn(k) for k in range(ngrids)]
+    r_start = start_residual(A, b, x0)
+    gens = [spawn(k, r_start) for k in range(ngrids)]
     running = [True] * ngrids
     crashed = [False] * ngrids  # fail-stop injected, awaiting watchdog
     stall_until = [0] * ngrids  # micro-step when a stalled grid resumes
     # Prime each coroutine to its first yield; `requests[k]` always
     # holds grid k's currently pending micro-op.
     requests: List[Optional[tuple]] = [g.send(None) for g in gens]
+    ctx.begin()
+    live_session = ctx.live_session
 
-    # Per-kernel attribution: a traced run times every kernel call so
-    # the trace can say where the micro-steps' wall time went.
-    stats_were_on = False
-    kstats0: dict = {}
-    if tracer is not None:
-        stats_were_on = kernels.enable_stats(True)
-        kstats0 = kernels.stats()
-
-    trace: List[float] = []
+    samples: List[Tuple[float, float]] = []
     cps = sorted(checkpoints) if checkpoints else []
     cp_idx = 0
     cp_results: List[Tuple[int, float, float]] = []
@@ -451,8 +352,8 @@ def run_async_engine(
             commit_epoch += 1
             rel_now: Optional[float] = None
             if track_trace:
-                rel_now = float(kernels.residual_norm(solver.A, x, b) / nb)
-                trace.append(rel_now)
+                rel_now = float(kernels.residual_norm(A, x, b) / nb)
+                samples.append((float(len(samples)), rel_now))
             if tracer is not None:
                 cnt = float(crit.counts[k])
                 stal = (
@@ -471,7 +372,7 @@ def run_async_engine(
                 cp_results.append(
                     (
                         cps[cp_idx],
-                        float(kernels.residual_norm(solver.A, x, b) / nb),
+                        float(kernels.residual_norm(A, x, b) / nb),
                         float(crit.counts.mean()),
                     )
                 )
@@ -480,32 +381,25 @@ def run_async_engine(
                 running[k] = False
                 g.close()
             # --- fault injection at the correction boundary ---------
-            if injector is not None and running[k]:
-                completed = int(crit.counts[k])
-                if injector.crash_due(k, completed):
+            fault = ctx.fault_due(k, crit.counts) if running[k] else None
+            if fault is not None:
+                fkind, dur = fault
+                if fkind == "crash":
                     crashed[k] = True
-                    telemetry.bump("injected_crashes")
-                    if tracer is not None:
-                        tracer.record("fault", k, float(micro), tag="crash")
                 else:
-                    dur = injector.stall_due(k, completed)
-                    if dur is not None:
-                        stall_until[k] = micro + int(dur)
-                        telemetry.bump("injected_stalls")
-                        if tracer is not None:
-                            tracer.record("fault", k, float(micro), float(dur), tag="stall")
+                    stall_until[k] = micro + int(dur)
+                if tracer is not None:
+                    tracer.record("fault", k, float(micro), dur, tag=fkind)
             # --- guard: periodic checkpoint / spike rollback --------
             if ckpt_every and int(crit.counts.sum()) % ckpt_every == 0:
                 if rel_now is None:
-                    rel_now = float(kernels.residual_norm(solver.A, x, b) / nb)
+                    rel_now = float(kernels.residual_norm(A, x, b) / nb)
                     if tracer is not None:
                         tracer.record("residual", k, float(micro), rel_now, 0.0, "global")
-                action, x_restore = grd.checkpoint_or_rollback(x, rel_now)
-                if tracer is not None and action != "none":
-                    tracer.record("guard", k, float(micro), tag=action)
-                if action == "rollback":
+                x_restore = ctx.checkpoint(x, rel_now, k, float(micro))
+                if x_restore is not None:
                     x[:] = x_restore  # repro: noqa[RPR001] rollback at the scheduler barrier
-                    kernels.range_residual(solver.A, x, b, 0, n, out=r)
+                    kernels.range_residual(A, x, b, 0, n, out=r)
             # --- guard: staleness watchdog + restart ----------------
             if wd_micro is not None:
                 for j in range(ngrids):
@@ -513,7 +407,7 @@ def run_async_engine(
                         continue
                     if micro - last_done[j] <= wd_micro:
                         continue
-                    telemetry.bump("watchdog_detections")
+                    ctx.telemetry.bump("watchdog_detections")
                     if tracer is not None:
                         tracer.record("guard", j, float(micro), tag="watchdog")
                     if grd.try_restart():
@@ -521,7 +415,7 @@ def run_async_engine(
                             tracer.record("guard", j, float(micro), tag="restart")
                         # Replica re-sync: the restarted grid starts
                         # from the residual of the current iterate.
-                        gens[j] = spawn(j, r0=b - solver.A @ x)
+                        gens[j] = spawn(j, b - A @ x)
                         requests[j] = gens[j].send(None)
                         crashed[j] = False
                         last_done[j] = micro
@@ -531,55 +425,37 @@ def run_async_engine(
                         running[j] = False  # dead for good
             # Divergence guard: corrections exploding means the run is
             # lost; a guarded run first spends its rollback budget.
-            xmax = float(np.abs(x).max()) if n else 0.0
-            if not np.isfinite(xmax) or xmax > divergence_threshold * max(nb, 1.0):
-                recovered = False
-                if grd is not None:
-                    action, x_restore = grd.checkpoint_or_rollback(x, np.inf)
-                    if action == "rollback":
-                        if tracer is not None:
-                            tracer.record("guard", k, float(micro), tag="rollback")
-                        x[:] = x_restore  # repro: noqa[RPR001] rollback at the scheduler barrier
-                        kernels.range_residual(solver.A, x, b, 0, n, out=r)
-                        recovered = True
-                if not recovered:
+            if exploded(x, divergence_threshold, nb):
+                x_restore = ctx.checkpoint(x, np.inf, k, float(micro)) if grd is not None else None
+                if x_restore is None:
                     diverged = True
+                else:
+                    x[:] = x_restore  # repro: noqa[RPR001] rollback at the scheduler barrier
+                    kernels.range_residual(A, x, b, 0, n, out=r)
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"unknown micro-op {kind!r}")
         if running[k] and not crashed[k]:
             requests[k] = g.send(send_val)
         micro += 1
         if micro > max_micro:
-            if injector is not None:
+            if ctx.injector is not None:
                 stalled = True
                 break
             raise RuntimeError("engine exceeded micro-step budget")
 
-    rel = kernels.residual_norm(solver.A, x, b) / nb
-    final_diverged = diverged or not np.isfinite(rel) or rel > divergence_threshold
-    if injector is not None and not final_diverged and not crit.all_done():
-        stalled = True
-    stalled = stalled and not final_diverged
-    if tracer is not None:
-        for kname, (calls, secs) in sorted(kernels.stats_delta(kstats0).items()):
-            tracer.record("kernel", -1, float(micro), float(secs), float(calls), kname)
-        kernels.enable_stats(stats_were_on)
-    # Final collection + teardown before the summary so alert events
-    # recorded by the collector are part of the merged trace.
-    live_summary = live_session.finish() if live_session is not None else None
-    return AsyncEngineResult(
-        x=x,
-        rel_residual=rel,
-        counts=crit.counts.copy(),
+    rel = kernels.residual_norm(A, x, b) / nb
+    diverged, stalled = final_verdict(
+        rel, divergence_threshold, diverged, stalled, crit.all_done(), ctx.injector is not None
+    )
+    return ctx.result(
+        x,
+        rel,
+        crit.counts.copy(),
+        t_end=float(micro),
         micro_steps=micro,
-        speeds=speeds,
-        diverged=final_diverged,
-        residual_trace=trace,
+        diverged=diverged,
+        stalled=stalled,
+        residual_samples=samples,
         activity_trace=activity,
         checkpoint_results=cp_results,
-        stalled=stalled,
-        telemetry=telemetry,
-        trace_summary=tracer.summary() if tracer is not None else None,
-        kernel_backend=kernels.current_backend(),
-        live_summary=live_summary,
     )

@@ -64,28 +64,39 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import threading
 import time as _time
 import traceback
-from dataclasses import dataclass, field, replace
-from multiprocessing import resource_tracker, shared_memory
+from dataclasses import dataclass, replace
+from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .. import kernels
 from ..linalg import two_norm
-from ..resilience import FaultInjector, FaultPlan, FaultTelemetry, Guard, GuardPolicy
+from ..resilience import FaultPlan, GuardPolicy
 from .engine import run_async_engine
-from .threaded import _WORKER_ERRORS
+from .run import (
+    CRITERIA,
+    RESCOMP,
+    WORKER_ERRORS,
+    Criterion,
+    GridStep,
+    RunContext,
+    RunResult,
+    Supervisor,
+    check_choice,
+    exploded,
+    residual,
+    row_blocks,
+)
 from .writes import UnsafeWrite, WritePolicy
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.observe
-    from ..observe.live import LiveConfig, LiveSummary
-    from ..observe.tracer import Tracer, TraceSummary
+    from ..observe.live import LiveConfig
+    from ..observe.tracer import Tracer
 
 __all__ = [
-    "ProcsResult",
     "SetupBundle",
     "SharedVectors",
     "ProcLockWrite",
@@ -94,8 +105,6 @@ __all__ = [
     "run_procs",
 ]
 
-_RESCOMP = ("local", "global", "rupdate")
-_CRITERIA = ("criterion1", "criterion2")
 _WRITES = ("lock", "atomic", "unsafe")
 
 #: Worker exit code for an injected fail-stop (distinct from 0/clean
@@ -106,8 +115,7 @@ _CRASH_EXIT = 17
 #: Flag slots in the shared control region.
 _FLAG_STOP = 0
 _FLAG_DONE = 1  # criterion-2 master flag
-_FLAG_DET_DONE = 2
-_NFLAGS = 4
+_NFLAGS = 2
 
 #: Worker status codes (``SharedVectors.status``).
 _STATUS_RUNNING = 0
@@ -511,46 +519,6 @@ class _ShardTelemetry:
         self._row[_TEL_COUNTERS.index(counter)] += by
 
 
-class _SharedCriterion:
-    """Criterion 1/2 over the shared counts/flags regions.
-
-    Counts are single-writer (only a grid's owner increments its slot),
-    so no cross-process lock is needed.  The criterion-2 completeness
-    check reads other workers' counters racily — counters only grow, so
-    the worst case is the flag raising one correction late, which is
-    exactly the paper's master-thread semantics.
-    """
-
-    def __init__(
-        self, counts: np.ndarray, flags: np.ndarray, kind: str, tmax: int
-    ) -> None:
-        if tmax < 1:
-            raise ValueError("tmax must be >= 1")
-        self.counts = counts
-        self.flags = flags
-        self.kind = kind
-        self.tmax = int(tmax)
-
-    def record(self, k: int) -> None:
-        self.counts[k] += 1
-        if (
-            self.kind == "criterion2"
-            and not self.flags[_FLAG_DONE]
-            and bool(np.all(self.counts >= self.tmax))
-        ):
-            self.flags[_FLAG_DONE] = 1
-
-    def grid_done(self, k: int) -> bool:
-        if self.kind == "criterion2":
-            return bool(self.flags[_FLAG_DONE])
-        return bool(self.counts[k] >= self.tmax)
-
-    def all_done(self) -> bool:
-        if self.kind == "criterion2":
-            return bool(self.flags[_FLAG_DONE])
-        return bool(np.all(self.counts >= self.tmax))
-
-
 @dataclass(frozen=True)
 class _WorkerConfig:
     """Per-run constants shipped to every worker (picklable)."""
@@ -626,7 +594,7 @@ def _worker_main(
                     sv, wid, solver, grids, rows, cfg, locks_x, locks_r, resync
                 )
             sv.status[wid] = _STATUS_OK
-        except _WORKER_ERRORS:
+        except WORKER_ERRORS:
             errq.put((wid, traceback.format_exc()))
             sv.status[wid] = _STATUS_ERROR
             sv.flags[_FLAG_STOP] = 1
@@ -654,7 +622,6 @@ def _run_deterministic(sv: SharedVectors, solver: Any, cfg: _WorkerConfig) -> No
     )
     sv.x_flat[:] = res.x
     sv.counts[:] = res.counts
-    sv.flags[_FLAG_DET_DONE] = 1
 
 
 def _worker_loop(
@@ -675,49 +642,31 @@ def _worker_loop(
     x_flat, r_flat = sv.x_flat, sv.r_flat
     flags, counts = sv.flags, sv.counts
     B = np.array(sv.b, copy=True)  # private RHS replica (n, k)
-    b1 = np.ascontiguousarray(B.reshape(-1)) if k == 1 else None
+    b_own = np.ascontiguousarray(B.reshape(-1)) if k == 1 else B
 
     xpol = make_proc_write_policy(cfg.write, m, cfg.stripe, locks_x, sv.seq_x)
     rpol = make_proc_write_policy(cfg.write, m, cfg.stripe, locks_r, sv.seq_r)
-    crit = _SharedCriterion(counts, flags, cfg.criterion, cfg.tmax)
-    shard = _ShardTelemetry(sv.telemetry[wid])
-
-    injector = None
-    if cfg.faults is not None and cfg.faults.active:
-        # Offset the stochastic streams per worker so concurrent workers
-        # don't draw identical corruption patterns; deterministic
-        # schedules (crash/stall) are grid-indexed and unaffected.
-        injector = FaultInjector(
-            replace(cfg.faults, seed=cfg.faults.seed + wid), lay.ngrids
-        )
-        if resync:
-            # A restarted process must not re-serve crash sentences that
-            # already executed (the one-shot state died with its
-            # predecessor).
-            injector.forgive_completed_crashes(counts)
-    grd = Guard(cfg.guard, cfg.nb) if cfg.guard is not None else None
+    crit = Criterion(cfg.criterion, cfg.tmax, counts, flags[_FLAG_DONE : _FLAG_DONE + 1])
+    shard: Any = _ShardTelemetry(sv.telemetry[wid])
+    # Offset the stochastic fault streams per worker so concurrent
+    # workers don't draw identical corruption patterns; deterministic
+    # schedules (crash/stall) are grid-indexed and unaffected.
+    faults = cfg.faults
+    if faults is not None:
+        faults = replace(faults, seed=faults.seed + wid)
+    ctx = RunContext("procs", lay.ngrids, cfg.nb, faults, cfg.guard)
+    if resync and ctx.injector is not None:
+        # A restarted process must not re-serve crash sentences that
+        # already executed (the one-shot state died with its predecessor).
+        ctx.injector.forgive_completed_crashes(counts)
 
     # Replicas seeded from the *current* shared state — correct both at
     # cold start (x is x0) and after a watchdog restart.
-    x0_loc = xpol.read(x_flat)
-    if k == 1:
-        assert b1 is not None
-        r0 = kernels.range_residual(A, x0_loc, b1, 0, n)
-    else:
-        r0 = kernels.range_residual_block(A, x0_loc.reshape(n, k), B, 0, n)
+    r0 = residual(A, b_own, xpol.read(x_flat), 0, n)
     r_local: Dict[int, np.ndarray] = {g: r0.copy() for g in grids}
-
-    # Steady-state buffers: one allocation per worker, zero per step.
-    e_block = np.empty((n, k)) if k > 1 else None
-    de_buf = np.empty(n) if cfg.rescomp == "rupdate" and k == 1 else None
-    de_block = np.empty((n, k)) if cfg.rescomp == "rupdate" and k > 1 else None
-    fresh: Dict[int, np.ndarray] = {}
-    if cfg.rescomp == "global":
-        for g in grids:
-            lo, hi = rows[g]
-            if hi > lo:
-                fresh[g] = np.empty(hi - lo) if k == 1 else np.empty((hi - lo, k))
-    zeros_e = np.zeros(m) if grd is not None else None
+    shared = (x_flat, r_flat, xpol, rpol)
+    steps = {g: GridStep(cfg.rescomp, A, b_own, rows[g], shared) for g in grids}
+    e_block = np.empty((n, k)) if k > 1 else None  # one per worker, zero per step
 
     pending = list(grids)
     while pending:
@@ -730,31 +679,18 @@ def _worker_loop(
                 pending.remove(g)
                 continue
             sv.heartbeats[wid] = _time.monotonic()
-            completed = int(counts[g])
-            if injector is not None:
-                if injector.crash_due(g, completed):
-                    shard.bump("injected_crashes")
-                    if cfg.trace:
-                        _ring_record(
-                            sv, wid, _time.monotonic() - cfg.t0, "fault", g,
-                            tag="crash",
-                        )
+            fault = ctx.fault_due(g, counts, shard)
+            if fault is not None:
+                fkind, dur = fault
+                if cfg.trace:
+                    _ring_record(sv, wid, _time.monotonic() - cfg.t0, "fault", g, a=dur, tag=fkind)
+                if fkind == "crash":
                     os._exit(_CRASH_EXIT)  # a real fail-stop process death
-                dur = injector.stall_due(g, completed)
-                if dur is not None:
-                    shard.bump("injected_stalls")
-                    if cfg.trace:
-                        _ring_record(
-                            sv, wid, _time.monotonic() - cfg.t0, "fault", g,
-                            a=float(dur), tag="stall",
-                        )
-                    _time.sleep(
-                        min(float(dur), max(0.0, cfg.deadline - _time.monotonic()))
-                    )
+                _time.sleep(min(dur, max(0.0, cfg.deadline - _time.monotonic())))
             if cfg.trace:
                 _ring_record(
                     sv, wid, _time.monotonic() - cfg.t0, "correct_begin", g,
-                    a=float(completed + 1),
+                    a=float(counts[g] + 1),
                 )
             rl = r_local[g]
             if k == 1:
@@ -766,59 +702,11 @@ def _worker_loop(
                         g, np.ascontiguousarray(rl[:, j])
                     )
                 e = e_block.reshape(-1)
-            if injector is not None:
-                e = injector.corrupt(e, shard)  # type: ignore[arg-type]
-            if grd is not None:
-                screened = grd.screen(e, telemetry=shard)  # type: ignore[arg-type]
-                if screened is None:
-                    assert zeros_e is not None
-                    e = zeros_e
-                else:
-                    e = screened
-            xpol.add(x_flat, e)
-            if cfg.rescomp == "rupdate":
-                if k == 1:
-                    assert de_buf is not None
-                    kernels.range_matvec(A, e, 0, n, out=de_buf)
-                    np.negative(de_buf, out=de_buf)
-                    rpol.add(r_flat, de_buf)
-                else:
-                    assert de_block is not None
-                    kernels.range_matvec_block(A, e.reshape(n, k), 0, n, out=de_block)
-                    de_flat = de_block.reshape(-1)
-                    np.negative(de_flat, out=de_flat)
-                    rpol.add(r_flat, de_flat)
-                rr = rpol.read(r_flat)
-                r_local[g] = rr if k == 1 else rr.reshape(n, k)
-            elif cfg.rescomp == "local":
-                x_loc = xpol.read(x_flat)
-                if k == 1:
-                    assert b1 is not None
-                    kernels.range_residual(A, x_loc, b1, 0, n, out=r_local[g])
-                else:
-                    kernels.range_residual_block(
-                        A, x_loc.reshape(n, k), B, 0, n, out=r_local[g]
-                    )
-            else:  # global
-                x_loc = xpol.read(x_flat)
-                lo, hi = rows[g]
-                if hi > lo:
-                    if k == 1:
-                        assert b1 is not None
-                        kernels.range_residual(A, x_loc, b1, lo, hi, out=fresh[g])
-                        rpol.assign_slice(r_flat, lo, hi, fresh[g])
-                    else:
-                        kernels.range_residual_block(
-                            A, x_loc.reshape(n, k), B, lo, hi, out=fresh[g]
-                        )
-                        rpol.assign_slice(
-                            r_flat, lo * k, hi * k, fresh[g].reshape(-1)
-                        )
-                rr = rpol.read(r_flat)
-                r_local[g] = rr if k == 1 else rr.reshape(n, k)
+            if ctx.screens:
+                e = ctx.screen(e, shard)
+            r_local[g] = steps[g].commit(e)
             crit.record(g)
             sv.heartbeats[wid] = _time.monotonic()
-            mx = float(np.abs(r_local[g]).max()) if m else 0.0
             if cfg.trace:
                 now = _time.monotonic() - cfg.t0
                 _ring_record(sv, wid, now, "correct_end", g, a=float(counts[g]))
@@ -827,46 +715,14 @@ def _worker_loop(
                     a=float(two_norm(r_local[g].reshape(-1)) / cfg.nb),
                     tag="local",
                 )
-            if not np.isfinite(mx) or mx > cfg.divergence_threshold * max(
-                cfg.nb, 1.0
-            ):
+            if exploded(r_local[g], cfg.divergence_threshold, cfg.nb):
                 flags[_FLAG_STOP] = 1
                 return
+
 
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-
-
-@dataclass
-class ProcsResult:
-    """Outcome of a true-parallel (process-backed) asynchronous run.
-
-    Field-compatible with :class:`~repro.core.threaded.ThreadedResult`
-    so benchmark harnesses and the CLI treat the two interchangeably;
-    ``workers`` records the process count (thread-groups) and
-    ``deterministic`` whether the run used the single-worker
-    transport-validation mode.
-    """
-
-    x: np.ndarray
-    rel_residual: float
-    counts: np.ndarray
-    wall_time: float
-    diverged: bool = False
-    errors: List[str] = field(default_factory=list)
-    residual_samples: List[tuple] = field(default_factory=list)
-    stalled: bool = False
-    telemetry: FaultTelemetry = field(default_factory=FaultTelemetry)
-    trace_summary: Optional["TraceSummary"] = None
-    kernel_backend: str = "numpy"
-    live_summary: Optional["LiveSummary"] = None
-    workers: int = 1
-    deterministic: bool = False
-
-    @property
-    def corrects(self) -> float:
-        return float(self.counts.mean())
 
 
 def _assign_grids(work: np.ndarray, nworkers: int) -> List[List[int]]:
@@ -938,7 +794,7 @@ def run_procs(
     guard: Optional[GuardPolicy] = None,
     tracer: Optional["Tracer"] = None,
     live: Optional["LiveConfig"] = None,
-) -> ProcsResult:
+) -> RunResult:
     """Run asynchronous additive multigrid with worker *processes*.
 
     Parameters mirror :func:`repro.core.threaded.run_threaded`, plus:
@@ -965,20 +821,9 @@ def run_procs(
     its grids re-synced from the shared iterate — through the guard's
     restart budget.  ``telemetry.restarts`` counts those respawns.
     """
-    if rescomp not in _RESCOMP:
-        raise ValueError(f"rescomp must be one of {_RESCOMP}")
-    if criterion not in _CRITERIA:
-        raise ValueError(f"criterion must be one of {_CRITERIA}")
-    if write not in _WRITES:
-        raise ValueError(f"write must be one of {_WRITES}")
-    if live is not None and tracer is None:
-        from ..observe.tracer import Tracer as _Tracer
-
-        tracer = _Tracer(clock="s")
-    if live is not None and monitor_interval is None:
-        monitor_interval = live.interval_s
-    if monitor_interval is not None and monitor_interval <= 0:
-        raise ValueError("monitor_interval must be positive")
+    check_choice("rescomp", rescomp, RESCOMP)
+    check_choice("criterion", criterion, CRITERIA)
+    check_choice("write", write, _WRITES)
 
     n = solver.n
     ngrids = solver.ngrids
@@ -1013,45 +858,45 @@ def run_procs(
     else:
         X0 = np.array(x0, dtype=np.float64).reshape(n, k)
     nb = two_norm(B2.reshape(-1)) or 1.0
+    ctx = RunContext("procs", ngrids, nb, faults, guard, tracer, live)
+    tracer = ctx.tracer
 
     bundle = SetupBundle.from_solver(solver)
-    ctx = mp.get_context("spawn")
+    mpctx = mp.get_context("spawn")
     nstripes = max(1, -(-m // stripe)) if write == "atomic" else 1
     layout = _Layout(n=n, k=k, ngrids=ngrids, nworkers=workers, nstripes=nstripes)
     sv = SharedVectors.create(layout)
-
-    telemetry = FaultTelemetry()
-    errors: List[str] = []
-    samples: List[tuple] = []
-    procs: List[Any] = []
-    mon: Optional[threading.Thread] = None
-    monitor_stop = threading.Event()
-    live_session = None
+    sup: Optional[Supervisor] = None
     try:
         sv.x[...] = X0
         sv.b[...] = B2
         sv.r[...] = B2 - A @ X0
-        t0 = _time.monotonic()
-        sv.heartbeats[...] = t0
-        deadline = t0 + timeout
-
-        locks_x = _make_locks(write, nstripes, ctx)
-        locks_r = _make_locks(write, nstripes, ctx)
+        locks_x = _make_locks(write, nstripes, mpctx)
+        locks_r = _make_locks(write, nstripes, mpctx)
         xpol = make_proc_write_policy(write, m, stripe, locks_x, sv.seq_x)
         rpol = make_proc_write_policy(write, m, stripe, locks_r, sv.seq_r)
-        crit = _SharedCriterion(sv.counts, sv.flags, criterion, tmax)
-        grd = Guard(guard, nb, telemetry) if guard is not None else None
+        crit = Criterion(criterion, tmax, sv.counts, sv.flags[_FLAG_DONE : _FLAG_DONE + 1])
+
+        def stop() -> None:
+            sv.flags[_FLAG_STOP] = 1
 
         owned = _assign_grids(solver.work_per_grid(), workers)
-        shares = np.maximum(
-            solver.work_per_grid() / solver.work_per_grid().sum(), 1e-6
+        sup = Supervisor(
+            ctx,
+            crit,
+            owned,
+            A,
+            b_in,
+            (sv.x_flat, sv.r_flat, xpol, rpol),
+            clock=_time.monotonic,
+            poll_s=0.005,
+            timeout=timeout,
+            interval=monitor_interval,
+            stopped=lambda: bool(sv.flags[_FLAG_STOP]),
+            stop=stop,
+            heartbeats=sv.heartbeats,
         )
-        cuts = np.concatenate([[0.0], np.cumsum(shares) / shares.sum()])
-        row_bounds = np.round(cuts * n).astype(np.int64)
-        rows = tuple(
-            (int(row_bounds[g]), int(row_bounds[g + 1])) for g in range(ngrids)
-        )
-
+        rows = tuple(row_blocks(solver.work_per_grid(), n))
         cfg = _WorkerConfig(
             tmax=tmax,
             rescomp=rescomp,
@@ -1063,19 +908,18 @@ def run_procs(
             deterministic=deterministic,
             trace=tracer is not None,
             nb=nb,
-            t0=t0,
-            deadline=deadline,
+            t0=sup.t0,
+            deadline=sup.deadline,
             divergence_threshold=divergence_threshold,
             kernel_backend=kernels.current_backend(),
             guard=guard,
             faults=faults,
         )
-        errq = ctx.SimpleQueue()
+        errq = mpctx.SimpleQueue()
 
         def spawn(wid: int, resync: bool) -> Any:
             sv.status[wid] = _STATUS_RUNNING
-            sv.heartbeats[wid] = _time.monotonic()
-            p = ctx.Process(
+            p = mpctx.Process(
                 target=_worker_main,
                 args=(
                     wid, sv.name, layout, bundle, tuple(owned[wid]), rows,
@@ -1088,216 +932,32 @@ def run_procs(
                 tracer.register_worker_pid(f"p{wid}", p.pid)
             return p
 
-        def sample_rel() -> float:
-            if k == 1:
-                return float(kernels.residual_norm(A, sv.x_flat, B2.reshape(-1)) / nb)
-            rb = kernels.range_residual_block(A, np.array(sv.x), B2, 0, n)
-            return float(two_norm(rb.reshape(-1)) / nb)
-
-        if tracer is not None:
-            tracer.restart_clock()
-        if live is not None:
-            from ..observe.live import start_live
-
-            def _alert_stop() -> None:
-                sv.flags[_FLAG_STOP] = 1
-                telemetry.bump("alert_stops")
-
-            assert tracer is not None
-            live_session = start_live(
-                live, tracer, backend="procs", stop_callback=_alert_stop
-            )
-
-        procs = [spawn(wid, False) for wid in range(workers)]
-
-        def monitor() -> None:
-            while not monitor_stop.is_set():
-                now = _time.monotonic() - t0
-                rel_s = sample_rel()  # racy read: sampling only
-                samples.append((now, rel_s))
-                if tracer is not None:
-                    tracer.record(
-                        "residual", -1, now, rel_s, 0.0, "global", worker="monitor"
-                    )
-                monitor_stop.wait(monitor_interval)
-
-        if monitor_interval is not None:
-            mon = threading.Thread(target=monitor, daemon=True)
-            mon.start()
-
-        # --------------------------------------------------------------
-        # Supervisor: per-process liveness, restart, checkpoint/rollback,
-        # trace-ring drain.  Mirrors the threaded supervisor with
-        # exit-code detection instead of Thread.is_alive bookkeeping.
-        # --------------------------------------------------------------
         cursors = [0] * workers
-        dead = [False] * workers
-        hung_flagged = [False] * workers
-        stalled = False
-        next_ckpt = (
-            t0 + guard.checkpoint_period_s if guard is not None else float("inf")
-        )
-        while _time.monotonic() < deadline:
-            if crit.all_done() or sv.flags[_FLAG_STOP]:
-                break
-            if deterministic and sv.flags[_FLAG_DET_DONE]:
-                break
-            now = _time.monotonic()
-            for wid in range(workers):
-                if dead[wid]:
-                    continue
-                p = procs[wid]
-                w_done = all(crit.grid_done(g) for g in owned[wid])
-                if p.is_alive():
-                    if (
-                        grd is not None
-                        and guard is not None
-                        and guard.watchdog
-                        and not hung_flagged[wid]
-                        and not w_done
-                        and now - float(sv.heartbeats[wid]) > guard.watchdog_timeout
-                    ):
-                        hung_flagged[wid] = True
-                        telemetry.bump("watchdog_detections")
-                        if tracer is not None:
-                            tracer.record(
-                                "guard", owned[wid][0], now - t0,
-                                tag="watchdog", worker="supervisor",
-                            )
-                    continue
-                status = int(sv.status[wid])
-                if w_done or status == _STATUS_OK:
-                    continue
-                if status == _STATUS_ERROR:
-                    continue  # error queued; worker already raised stop
-                # Fail-stop death (crash fault / kill): restart the whole
-                # process, re-synced, while the budget lasts.
-                telemetry.bump("watchdog_detections")
-                if tracer is not None:
-                    tracer.record(
-                        "guard", owned[wid][0], now - t0,
-                        tag="watchdog", worker="supervisor",
-                    )
-                if grd is not None and guard is not None and grd.try_restart():
-                    if tracer is not None:
-                        tracer.record(
-                            "guard", owned[wid][0], now - t0,
-                            tag="restart", worker="supervisor",
-                        )
-                    if guard.restart_delay:
-                        _time.sleep(guard.restart_delay)
-                    hung_flagged[wid] = False
-                    procs[wid] = spawn(wid, True)
-                else:
-                    dead[wid] = True
-            if any(dead):
-                # A permanently dead worker's grids can never satisfy
-                # the criterion; stop the survivors.
-                stalled = True
-                sv.flags[_FLAG_STOP] = 1
-                break
-            if not any(p.is_alive() for p in procs):
-                break
-            if grd is not None and guard is not None and now >= next_ckpt:
-                x_snap = xpol.read(sv.x_flat)
-                if k == 1:
-                    rel_now = float(
-                        kernels.residual_norm(A, x_snap, B2.reshape(-1)) / nb
-                    )
-                else:
-                    rb = kernels.range_residual_block(
-                        A, x_snap.reshape(n, k), B2, 0, n
-                    )
-                    rel_now = float(two_norm(rb.reshape(-1)) / nb)
-                action, x_restore = grd.checkpoint_or_rollback(x_snap, rel_now)
-                if tracer is not None and action != "none":
-                    tracer.record(
-                        "guard", -1, _time.monotonic() - t0,
-                        tag=action, worker="supervisor",
-                    )
-                if action == "rollback" and x_restore is not None:
-                    xpol.assign_slice(sv.x_flat, 0, m, x_restore)
-                    if k == 1:
-                        r_new = kernels.range_residual(
-                            A, x_restore, B2.reshape(-1), 0, n
-                        )
-                    else:
-                        r_new = kernels.range_residual_block(
-                            A, x_restore.reshape(n, k), B2, 0, n
-                        ).reshape(-1)
-                    rpol.assign_slice(sv.r_flat, 0, m, r_new)
-                next_ckpt = _time.monotonic() + guard.checkpoint_period_s
+
+        def drain() -> None:
             if tracer is not None:
                 _drain_rings(sv, tracer, cursors)
-            _time.sleep(0.005)
 
-        timed_out = _time.monotonic() >= deadline and any(
-            p.is_alive() for p in procs
-        )
-        stop_seen = bool(sv.flags[_FLAG_STOP])
-        sv.flags[_FLAG_STOP] = 1  # wind everyone down before the join
-        for p in procs:
-            p.join(timeout=5.0)
-        for p in procs:
+        sup.run(spawn, exited=lambda wid: int(sv.status[wid]) != _STATUS_RUNNING, poll=drain)
+        for p in sup.handles:
             if p.is_alive():  # pragma: no cover - stuck worker backstop
                 p.terminate()
                 p.join(timeout=1.0)
-        wall = _time.monotonic() - t0
-        if mon is not None:
-            monitor_stop.set()
-            mon.join(timeout=5.0)
-        if tracer is not None:
-            _drain_rings(sv, tracer, cursors)
+        drain()
+        errors: List[str] = []
         while not errq.empty():
             wid, tb = errq.get()
             errors.append(f"worker {wid}:\n{tb}")
         for wid in range(workers):
-            row = sv.telemetry[wid]
-            for i, counter in enumerate(_TEL_COUNTERS):
-                v = int(row[i])
-                if v:
-                    telemetry.bump(counter, v)
+            for counter, v in zip(_TEL_COUNTERS, sv.telemetry[wid]):
+                if int(v):
+                    ctx.telemetry.bump(counter, int(v))
 
-        counts_out = np.array(sv.counts, copy=True)
-        x_out = np.array(sv.x_flat, copy=True)
-        rel = sample_rel()
-        all_done = crit.all_done() or (
-            deterministic and bool(sv.flags[_FLAG_DET_DONE])
-        )
-        alert_stopped = live_session is not None and live_session.stop_requested
-        diverged = (
-            (
-                stop_seen
-                and not timed_out
-                and not stalled
-                and not alert_stopped
-                and not errors
-            )
-            or not np.isfinite(rel)
-            or rel > divergence_threshold
-        )
-        if (
-            not diverged
-            and (timed_out or alert_stopped or (faults is not None and faults.active))
-            and not all_done
-        ):
-            stalled = True
-        stalled = stalled and not diverged
-        live_summary = live_session.finish() if live_session is not None else None
-        live_session = None
-        return ProcsResult(
-            x=x_out if b_in.ndim == 1 else x_out.reshape(n, k),
-            rel_residual=rel,
-            counts=counts_out,
-            wall_time=wall,
-            diverged=bool(diverged),
-            errors=errors,
-            residual_samples=samples,
-            stalled=bool(stalled),
-            telemetry=telemetry,
-            trace_summary=tracer.summary() if tracer is not None else None,
-            kernel_backend=kernels.current_backend(),
-            live_summary=live_summary,
+        return sup.result(
+            np.array(sv.x_flat, copy=True),
+            np.array(sv.counts, copy=True),
+            divergence_threshold,
+            errors,
             workers=workers,
             deterministic=deterministic,
         )
@@ -1306,18 +966,14 @@ def run_procs(
         # samplers, then unmap and unlink exactly once — the segment
         # must never outlive the run, even when a worker crashed
         # mid-solve or the parent raised.
+        procs = sup.handles if sup is not None else []
+        if sup is not None:
+            sup.stop_monitor()
         for p in procs:
             if p.is_alive():
                 p.terminate()
         for p in procs:
             p.join(timeout=1.0)
-        monitor_stop.set()
-        if mon is not None:
-            mon.join(timeout=1.0)
-        if live_session is not None:
-            try:
-                live_session.finish()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
+        ctx.close()
         sv.close()
         sv.unlink()

@@ -2,9 +2,10 @@
 
 One Python thread per grid runs the Algorithm-5 loop against shared
 NumPy arrays, with race handling delegated to the
-:mod:`repro.core.writes` policies and stopping to the
-:mod:`repro.core.criteria` criteria.  Under CPython's GIL the threads
-interleave rather than truly overlap, so wall-clock speedups are *not*
+:mod:`repro.core.writes` policies; the run's wiring, stopping
+criterion and supervisor come from :mod:`repro.core.run`.  Under
+CPython's GIL the threads interleave rather than truly overlap, so
+wall-clock speedups are *not*
 meaningful here (the performance model covers that); what this executor
 delivers is genuine nondeterministic asynchrony — real stale reads,
 real partially-committed atomic writes, real Criterion-1/2 behaviour —
@@ -24,73 +25,38 @@ from __future__ import annotations
 import threading
 import time as _time
 import traceback
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 import numpy as np
 
-from .. import kernels
 from ..linalg import two_norm
-from ..resilience import FaultInjector, FaultPlan, FaultTelemetry, Guard, GuardPolicy
-from .criteria import Criterion1, Criterion2
+from ..resilience import FaultPlan, FaultTelemetry, GuardPolicy
+from .run import (
+    RESCOMP,
+    WORKER_ERRORS,
+    Criterion,
+    GridStep,
+    RunContext,
+    RunResult,
+    Supervisor,
+    check_choice,
+    exploded,
+    row_blocks,
+    start_residual,
+)
 from .writes import WritePolicy, make_write_policy
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.observe
-    from ..observe.live import LiveConfig, LiveSummary
-    from ..observe.tracer import TracedPolicy, Tracer, TraceSummary
+    from ..observe.live import LiveConfig
+    from ..observe.tracer import TracedPolicy, Tracer
 
-__all__ = ["ThreadedResult", "run_threaded"]
-
-_RESCOMP = ("local", "global", "rupdate")
-
-#: The failure classes a worker's numerical kernel can actually raise
-#: (replacing the old blanket ``except Exception``).  Anything outside
-#: this set escapes to ``threading.excepthook`` — an unknown exception
-#: type should be loudly fatal, not silently folded into a result.
-_WORKER_ERRORS = (
-    ArithmeticError,
-    AttributeError,
-    LookupError,
-    MemoryError,
-    RuntimeError,
-    TypeError,
-    ValueError,
-    np.linalg.LinAlgError,
-)
+__all__ = ["run_threaded"]
 
 
-@dataclass
-class ThreadedResult:
-    """Outcome of a threaded asynchronous run."""
-
-    x: np.ndarray
-    rel_residual: float
-    counts: np.ndarray
-    wall_time: float
-    diverged: bool = False
-    errors: List[str] = field(default_factory=list)
-    residual_samples: List[tuple] = field(default_factory=list)
-    """``(wall_seconds, rel_residual)`` sampled by the monitor thread
-    when ``monitor_interval`` was set — the paper's residual-vs-time
-    measurement (taken outside the solve path, like its timestamping)."""
-    stalled: bool = False
-    """True when the run ended (supervisor stop or timeout) without
-    satisfying its stopping criterion — e.g. a worker fail-stopped and
-    no restart budget remained."""
-    telemetry: FaultTelemetry = field(default_factory=FaultTelemetry)
-    """Injected-fault and guard-action counters (zero when fault-free)."""
-    trace_summary: Optional["TraceSummary"] = None
-    """Compact digest of the recorded trace when the run was handed a
-    :class:`~repro.observe.Tracer` (None otherwise)."""
-    kernel_backend: str = "numpy"
-    """Active :mod:`repro.kernels` backend the run executed with."""
-    live_summary: Optional["LiveSummary"] = None
-    """Live-telemetry digest (snapshots, alerts, profile) when the run
-    was configured with ``live=LiveConfig(...)`` (None otherwise)."""
-
-    @property
-    def corrects(self) -> float:
-        return float(self.counts.mean())
+def _start_thread(target: Callable[[int, bool], None], k: int, resync: bool) -> threading.Thread:
+    th = threading.Thread(target=target, args=(k, resync), daemon=True)
+    th.start()
+    return th
 
 
 def run_threaded(
@@ -110,21 +76,17 @@ def run_threaded(
     policy_wrapper: Optional[Callable[[WritePolicy], WritePolicy]] = None,
     tracer: Optional["Tracer"] = None,
     live: Optional["LiveConfig"] = None,
-) -> ThreadedResult:
+) -> RunResult:
     """Run asynchronous additive multigrid with real threads.
 
     Parameters mirror :func:`repro.core.engine.run_async_engine`;
     ``write`` additionally accepts ``"unsafe"`` for the lost-update
-    ablation.  ``timeout`` bounds the whole run's wall-clock; worker
-    liveness is additionally tracked *per worker* by a supervisor loop
-    (heartbeat timestamps), replacing the old single sequential
-    ``join`` — a crashed or hung worker is noticed within
-    ``guard.watchdog_timeout`` seconds rather than after every other
-    worker has been joined.  ``monitor_interval`` (in seconds) starts a
-    sampling thread recording the true relative residual over
-    wall-clock time into ``residual_samples`` — the paper's
-    residual-vs-time measurement, taken outside the solve loop so it
-    adds no synchronization (its racy reads only blur samples).
+    ablation.  ``timeout`` bounds the whole run's wall-clock, and the
+    :class:`~repro.core.run.Supervisor` tracks liveness per worker by
+    heartbeats, so a crashed or hung worker is noticed within
+    ``guard.watchdog_timeout`` seconds.  ``monitor_interval`` (in
+    seconds) samples the true relative residual into
+    ``residual_samples``.
 
     ``faults`` injects real-thread faults (fail-stop worker deaths,
     ``time.sleep`` stalls, correction corruption; stall durations are
@@ -147,38 +109,23 @@ def run_threaded(
     path), and the merged digest lands on ``result.trace_summary``.
     Event times are wall seconds from the run's start.
 
-    ``live`` (a :class:`~repro.observe.live.LiveConfig`) starts the
-    streaming snapshot collector alongside the run: a scrape endpoint
-    (``metrics_port``), a JSONL snapshot stream, optional sampling
-    profiler, and the online anomaly detectors.  Implies tracing (a
-    wall-clock tracer is created when none was given) and turns the
+    ``live`` (see :class:`~repro.core.run.RunContext`) turns the
     residual monitor on at the snapshot cadence when
-    ``monitor_interval`` is unset.  The collector only *samples* —
-    solve threads never see it — so algorithmic behaviour is
-    unchanged.  An ``alert_stop`` alert sets the run's stop event; the
-    aborted run is reported ``stalled`` (never ``diverged`` unless the
-    residual actually blew up).  Digest lands on
-    ``result.live_summary``.
+    ``monitor_interval`` is unset; an ``alert_stop`` alert sets the
+    run's stop event, and the aborted run is reported ``stalled``
+    (never ``diverged`` unless the residual actually blew up).
     """
-    if rescomp not in _RESCOMP:
-        raise ValueError(f"rescomp must be one of {_RESCOMP}")
-    if live is not None and tracer is None:
-        from ..observe.tracer import Tracer as _Tracer
-
-        tracer = _Tracer(clock="s")
-    if live is not None and monitor_interval is None:
-        monitor_interval = live.interval_s  # detectors need residuals
+    check_choice("rescomp", rescomp, RESCOMP)
     n = solver.n
     ngrids = solver.ngrids
     A = solver.A
-
-    crit = (
-        Criterion1(ngrids, tmax)
-        if criterion == "criterion1"
-        else Criterion2(ngrids, tmax)
-    )
+    nb = two_norm(b) or 1.0
+    ctx = RunContext("threaded", ngrids, nb, faults, guard, tracer, live)
+    tracer = ctx.tracer
+    crit = Criterion(criterion, tmax, ngrids)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     r = b - A @ x
+    r_start = start_residual(A, b, x0)
 
     xpol = make_write_policy(write, n, **({"stripe": stripe} if write == "atomic" else {}))
     rpol = make_write_policy(write, n, **({"stripe": stripe} if write == "atomic" else {}))
@@ -195,134 +142,55 @@ def run_threaded(
         xpol = traced_x
         rpol = _TracedPolicy(rpol, tracer, "r")
 
-    # Row ownership for the global-res no-wait parfor (work shares).
-    work = solver.work_per_grid()
-    shares = np.maximum(work / work.sum(), 1e-6)
-    cuts = np.concatenate([[0.0], np.cumsum(shares) / shares.sum()])
-    row_bounds = np.round(cuts * n).astype(np.int64)
-    rows = [(int(row_bounds[k]), int(row_bounds[k + 1])) for k in range(ngrids)]
-
+    rows = row_blocks(solver.work_per_grid(), n)
     stop_event = threading.Event()
     errors: List[str] = []
     errors_lock = threading.Lock()
-    nb = two_norm(b) or 1.0
-
-    telemetry = FaultTelemetry()
     # Single-writer telemetry shards: each worker bumps only its own,
-    # merged into `telemetry` once at run end — no lock per bump.
+    # merged into the run's telemetry once at run end — no lock per bump.
     shards = [FaultTelemetry() for _ in range(ngrids)]
-    injector = (
-        FaultInjector(faults, ngrids)
-        if faults is not None and faults.active
-        else None
+    sup = Supervisor(
+        ctx,
+        crit,
+        [(k,) for k in range(ngrids)],
+        A,
+        b,
+        (x, r, xpol, rpol),
+        clock=_time.perf_counter,
+        poll_s=0.002,
+        timeout=timeout,
+        interval=monitor_interval,
+        stopped=stop_event.is_set,
+        stop=stop_event.set,
     )
-    grd = Guard(guard, nb, telemetry) if guard is not None else None
 
-    # Per-kernel attribution: a traced run times every kernel call so
-    # the trace can say where the workers' wall time went.
-    stats_were_on = False
-    kstats0: dict = {}
-    if tracer is not None:
-        stats_were_on = kernels.enable_stats(True)
-        kstats0 = kernels.stats()
-
-    t0 = _time.perf_counter()
-    if tracer is not None:
-        tracer.restart_clock()  # event times = seconds since run start
-    live_session = None
-    if live is not None:
-        from ..observe.live import start_live
-
-        def _alert_stop() -> None:
-            # Stop first: the counter bump must never delay (or, if it
-            # ever raises, prevent) the abort itself.
-            stop_event.set()
-            telemetry.bump("alert_stops")
-
-        assert tracer is not None
-        live_session = start_live(
-            live, tracer, backend="threaded", stop_callback=_alert_stop
-        )
-    deadline = t0 + timeout
-    # Per-worker liveness: workers stamp their heartbeat each loop
-    # iteration; the supervisor declares a worker hung/dead from these
-    # instead of blocking in one long join.
-    heartbeats = [t0] * ngrids
-
-    def worker(k: int, resync: bool = False) -> None:
+    def worker(k: int, resync: bool) -> None:
         if tracer is not None:
             tracer.register_worker(k)
         shard = shards[k]
         # A restarted worker re-syncs from the shared iterate instead
-        # of assuming the initial residual b (its replica is gone).
-        r_local = (b - A @ xpol.read(x)) if resync else b.copy()
-        # Worker-owned steady-state buffers (one allocation per worker,
-        # zero per iteration): the recomputed residual, the A·e product
-        # for rupdate, the owned-row refresh slice for global-res, and
-        # the zero correction substituted for guard-rejected updates.
-        # The kernel layer fills these in place; buffers are never
-        # shared across workers, so no synchronization is needed.
-        r_buf = np.empty(n, dtype=np.float64)
-        de_buf = np.empty(n, dtype=np.float64) if rescomp == "rupdate" else None
-        lo_k, hi_k = rows[k]
-        fresh_buf = (
-            np.empty(hi_k - lo_k, dtype=np.float64)
-            if rescomp == "global" and hi_k > lo_k
-            else None
-        )
-        zeros_e = np.zeros(n, dtype=np.float64) if grd is not None else None
+        # of assuming the initial residual (its replica is gone).
+        r_local = (b - A @ xpol.read(x)) if resync else r_start.copy()
+        step = GridStep(rescomp, A, b, rows[k], (x, r, xpol, rpol))
         try:
             while not crit.grid_done(k) and not stop_event.is_set():
-                heartbeats[k] = _time.perf_counter()
-                if injector is not None:
-                    completed = int(crit.counts[k])
-                    if injector.crash_due(k, completed):
-                        shard.bump("injected_crashes")
-                        if tracer is not None:
-                            tracer.record_here("fault", tag="crash")
+                sup.heartbeats[k] = _time.perf_counter()
+                fault = ctx.fault_due(k, crit.counts, shard)
+                if fault is not None:
+                    fkind, dur = fault
+                    if tracer is not None:
+                        tracer.record_here("fault", a=dur, tag=fkind)
+                    if fkind == "crash":
                         return  # fail-stop: the thread just dies
-                    dur = injector.stall_due(k, completed)
-                    if dur is not None:
-                        shard.bump("injected_stalls")
-                        if tracer is not None:
-                            tracer.record_here("fault", a=float(dur), tag="stall")
-                        _time.sleep(
-                            min(float(dur), max(0.0, deadline - _time.perf_counter()))
-                        )
+                    _time.sleep(min(dur, max(0.0, sup.deadline - _time.perf_counter())))
                 if tracer is not None:
                     tracer.record_here("correct_begin", a=float(crit.counts[k]) + 1.0)
                 e = solver.correction(k, r_local)
-                if injector is not None:
-                    e = injector.corrupt(e, shard)
-                if grd is not None:
-                    screened = grd.screen(e, telemetry=shard)
-                    if screened is None:
-                        # Rejected correction: substitute the cached
-                        # zero vector (read-only by construction).
-                        assert zeros_e is not None
-                        e = zeros_e
-                    else:
-                        e = screened
-                xpol.add(x, e)
-                if rescomp == "rupdate":
-                    assert de_buf is not None
-                    kernels.range_matvec(A, e, 0, n, out=de_buf)
-                    np.negative(de_buf, out=de_buf)
-                    rpol.add(r, de_buf)
-                    r_local = rpol.read(r)
-                elif rescomp == "local":
-                    x_loc = xpol.read(x)
-                    r_local = kernels.range_residual(A, x_loc, b, 0, n, out=r_buf)
-                else:  # global
-                    x_loc = xpol.read(x)
-                    if fresh_buf is not None:
-                        kernels.range_residual(A, x_loc, b, lo_k, hi_k, out=fresh_buf)
-                        rpol.assign_slice(r, lo_k, hi_k, fresh_buf)
-                    r_local = rpol.read(r)
+                if ctx.screens:
+                    e = ctx.screen(e, shard)
+                r_local = step.commit(e)
                 crit.record(k)
-                heartbeats[k] = _time.perf_counter()
-                # Divergence guard on the *local* view — no extra sync.
-                m = float(np.abs(r_local).max()) if n else 0.0
+                sup.heartbeats[k] = _time.perf_counter()
                 if tracer is not None:
                     tracer.record_here(
                         "correct_end",
@@ -332,9 +200,10 @@ def run_threaded(
                     tracer.record_here(
                         "residual", a=float(two_norm(r_local) / nb), tag="local"
                     )
-                if not np.isfinite(m) or m > divergence_threshold * max(nb, 1.0):
+                # Divergence guard on the *local* view — no extra sync.
+                if exploded(r_local, divergence_threshold, nb):
                     stop_event.set()
-        except _WORKER_ERRORS:
+        except WORKER_ERRORS:
             # Record the full traceback, not just str(exc): a worker
             # dies on another thread's stack, so this is the only
             # diagnosable record of where it failed.
@@ -342,169 +211,7 @@ def run_threaded(
                 errors.append(f"grid {k}:\n{traceback.format_exc()}")
             stop_event.set()
 
-    threads = [
-        threading.Thread(target=worker, args=(k,), daemon=True) for k in range(ngrids)
-    ]
-
-    samples: List[tuple] = []
-    monitor_stop = threading.Event()
-
-    def monitor(t_start: float) -> None:
-        while not monitor_stop.is_set():
-            now = _time.perf_counter() - t_start
-            # Racy read (sampling only); the kernel writes into the
-            # monitor thread's own scratch, so no allocation per sample.
-            rel_s = kernels.residual_norm(A, x, b) / nb
-            samples.append((now, float(rel_s)))
-            if tracer is not None:
-                tracer.record(
-                    "residual", -1, now, float(rel_s), 0.0, "global", worker="monitor"
-                )
-            monitor_stop.wait(monitor_interval)
-
-    mon = None
-    if monitor_interval is not None:
-        if monitor_interval <= 0:
-            raise ValueError("monitor_interval must be positive")
-        mon = threading.Thread(target=monitor, args=(t0,), daemon=True)
-        mon.start()
-    for th in threads:
-        th.start()
-
-    # ------------------------------------------------------------------
-    # Supervisor loop: per-worker liveness, restart, checkpoint/rollback.
-    # Replaces the old sequential join(timeout) per thread, whose worst
-    # case waited ngrids * timeout and could not tell *which* worker was
-    # stuck.
-    # ------------------------------------------------------------------
-    dead = [False] * ngrids  # exited without meeting the criterion, no restart
-    hung_flagged = [False] * ngrids
-    stalled = False
-    poll_s = 0.002
-    next_ckpt = (
-        t0 + guard.checkpoint_period_s if grd is not None else float("inf")
-    )
-    while _time.perf_counter() < deadline:
-        if crit.all_done() or stop_event.is_set():
-            break
-        now = _time.perf_counter()
-        for k in range(ngrids):
-            th = threads[k]
-            if th.is_alive():
-                # Hung-worker watchdog: alive but silent past the
-                # per-worker timeout.
-                if (
-                    grd is not None
-                    and guard.watchdog
-                    and not hung_flagged[k]
-                    and not crit.grid_done(k)
-                    and now - heartbeats[k] > guard.watchdog_timeout
-                ):
-                    hung_flagged[k] = True
-                    telemetry.bump("watchdog_detections")
-                    if tracer is not None:
-                        tracer.record("guard", k, now - t0, tag="watchdog", worker="supervisor")
-                continue
-            if crit.grid_done(k) or dead[k]:
-                continue
-            # Worker exited early (fail-stop): restart while the
-            # budget lasts, re-synced from the shared state.
-            telemetry.bump("watchdog_detections")
-            if tracer is not None:
-                tracer.record("guard", k, now - t0, tag="watchdog", worker="supervisor")
-            if grd is not None and grd.try_restart():
-                if tracer is not None:
-                    tracer.record("guard", k, now - t0, tag="restart", worker="supervisor")
-                if guard.restart_delay:
-                    _time.sleep(guard.restart_delay)
-                threads[k] = threading.Thread(
-                    target=worker, args=(k, True), daemon=True
-                )
-                heartbeats[k] = _time.perf_counter()
-                threads[k].start()
-            else:
-                dead[k] = True
-        if any(dead):
-            # A permanently dead grid can never satisfy the criterion;
-            # stop the survivors instead of spinning to the deadline.
-            stalled = True
-            stop_event.set()
-            break
-        if not any(th.is_alive() for th in threads):
-            break
-        if grd is not None and now >= next_ckpt:
-            x_snap = xpol.read(x)
-            rel_now = float(kernels.residual_norm(A, x_snap, b) / nb)
-            action, x_restore = grd.checkpoint_or_rollback(x_snap, rel_now)
-            if tracer is not None and action != "none":
-                tracer.record(
-                    "guard", -1, _time.perf_counter() - t0, tag=action, worker="supervisor"
-                )
-            if action == "rollback":
-                xpol.assign_slice(x, 0, n, x_restore)
-                rpol.assign_slice(
-                    r,
-                    0,
-                    n,
-                    kernels.range_residual(
-                        A, x_restore, b, 0, n, out=kernels.scratch(n, slot=5)
-                    ),
-                )
-            next_ckpt = _time.perf_counter() + guard.checkpoint_period_s
-        _time.sleep(poll_s)
-
-    timed_out = _time.perf_counter() >= deadline and any(
-        th.is_alive() for th in threads
-    )
-    if timed_out or stalled:
-        stop_event.set()
-    for th in threads:
-        th.join(timeout=5.0)
-    wall = _time.perf_counter() - t0
-    if mon is not None:
-        monitor_stop.set()
-        mon.join(timeout=5.0)
+    sup.run(lambda k, resync: _start_thread(worker, k, resync))
     for shard in shards:  # single merge path for worker telemetry
-        telemetry.merge(shard)
-
-    rel = kernels.residual_norm(A, x, b) / nb
-    alert_stopped = live_session is not None and live_session.stop_requested
-    diverged = (
-        (
-            stop_event.is_set()
-            and not timed_out
-            and not stalled
-            and not alert_stopped
-            and not errors
-        )
-        or not np.isfinite(rel)
-        or rel > divergence_threshold
-    )
-    if (
-        not diverged
-        and (timed_out or alert_stopped or (faults is not None and faults.active))
-        and not crit.all_done()
-    ):
-        stalled = True
-    stalled = stalled and not diverged
-    if tracer is not None:
-        for kname, (calls, secs) in sorted(kernels.stats_delta(kstats0).items()):
-            tracer.record("kernel", -1, wall, float(secs), float(calls), kname)
-        kernels.enable_stats(stats_were_on)
-    # Final collection + teardown before the summary so alert events
-    # recorded by the collector are part of the merged trace.
-    live_summary = live_session.finish() if live_session is not None else None
-    return ThreadedResult(
-        x=x,
-        rel_residual=rel,
-        counts=crit.counts.copy(),
-        wall_time=wall,
-        diverged=bool(diverged),
-        errors=errors,
-        residual_samples=samples,
-        stalled=bool(stalled),
-        telemetry=telemetry,
-        trace_summary=tracer.summary() if tracer is not None else None,
-        kernel_backend=kernels.current_backend(),
-        live_summary=live_summary,
-    )
+        ctx.telemetry.merge(shard)
+    return sup.result(x, crit.counts.copy(), divergence_threshold, errors)

@@ -22,8 +22,9 @@ simulation machinery to *test* that claim:
     their own fine residual before every correction (more computation,
     fresher data).
 
-The simulator reports the same quantities as the shared-memory engines
-(final relative residual, per-grid corrections, simulated wall-clock),
+The simulator returns the same :class:`~repro.core.run.RunResult` as
+the shared-memory executors (final relative residual, per-grid
+corrections, simulated wall-clock, message counts),
 so benchmarks can put the paper's distributed-memory conjecture on the
 same axes as its shared-memory results.
 
@@ -43,11 +44,10 @@ from .elastic import (
 )
 from .events import DedupIndex, IndexedEventQueue
 from .network import NetworkModel
-from .simulator import DistributedResult, simulate_distributed
+from .simulator import simulate_distributed
 
 __all__ = [
     "NetworkModel",
-    "DistributedResult",
     "simulate_distributed",
     "ChurnEvent",
     "ChurnPlan",

@@ -33,7 +33,7 @@ Degradation semantics: with fewer believed-alive ranks than grids,
 :func:`~repro.partition.partition_ranks` parks the smallest-work grids
 (zero ranks — no corrections from those grids until ranks return).
 The solve *continues* and the result is recorded as **degraded**, not
-failed (``DistributedResult.degraded``) — the asynchronous model needs
+failed (``RunResult.degraded``) — the asynchronous model needs
 no barrier, so losing contributors only slows convergence, exactly the
 robustness argument of the fault-tolerance literature (Coleman &
 Sosonkina) transplanted onto the paper's method.
@@ -547,7 +547,7 @@ class MembershipManager:
         )
 
     def census(self) -> Dict[str, int]:
-        """Final membership head-count for ``DistributedResult.membership``."""
+        """Final membership head-count for ``RunResult.membership``."""
         out: Dict[str, int] = {"initial_ranks": self.nranks0}
         for code, name in enumerate(STATE_NAMES):
             out[name] = int(np.count_nonzero(self.rank_state == code))

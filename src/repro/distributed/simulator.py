@@ -63,25 +63,33 @@ touch neither the compute-jitter RNG nor the event budget.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .. import kernels
 from ..core.perfmodel import MachineParams
+from ..core.run import (
+    CRITERIA,
+    Criterion,
+    RunContext,
+    RunResult,
+    check_choice,
+    exploded,
+    final_verdict,
+)
 from ..linalg import two_norm
 from ..partition import partition_threads
-from ..resilience import FaultInjector, FaultPlan, FaultTelemetry, Guard, GuardPolicy
+from ..resilience import FaultPlan, GuardPolicy
 from .elastic import ChurnPlan, ElasticityPolicy, MembershipManager
 from .events import DedupIndex, EventHandle, IndexedEventQueue
 from .network import NetworkModel
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.observe
-    from ..observe.live import LiveConfig, LiveSummary
-    from ..observe.tracer import Tracer, TraceSummary
+    from ..observe.live import LiveConfig
+    from ..observe.tracer import Tracer
 
-__all__ = ["DistributedResult", "simulate_distributed"]
+__all__ = ["simulate_distributed"]
 
 _STRATEGIES = ("global", "local")
 
@@ -90,59 +98,6 @@ _STRATEGIES = ("global", "local")
 # bookkeeping: a churn event scheduled long after convergence must not
 # inflate ``wall_time``.
 _WALL_KINDS = frozenset(("done", "msg", "restart", "retransmit", "sync"))
-
-
-@dataclass
-class DistributedResult:
-    """Outcome of a distributed asynchronous simulation."""
-
-    x: np.ndarray
-    rel_residual: float
-    counts: np.ndarray
-    wall_time: float
-    messages: int
-    strategy: str
-    flops_total: float = 0.0
-    dropped: int = 0
-    """Transmissions lost in transit (network drop process plus any
-    plan-level loss; retransmitted attempts that are dropped again
-    count each time)."""
-    diverged: bool = False
-    stalled: bool = False
-    """True when the run ended (event budget or drained queue) without
-    every process reaching ``tmax`` — e.g. a crashed process with no
-    restart budget."""
-    degraded: bool = False
-    """Elastic runs only: the solve *finished* (converged residual, no
-    divergence, no stall) but at reduced strength — believed membership
-    ended below the initial rank pool and/or parked grids contributed
-    fewer than ``tmax`` corrections.  Degraded is success with a
-    footnote, not failure."""
-    nranks: int = 0
-    """Initial simulated rank-pool size (0 for non-elastic runs)."""
-    telemetry: FaultTelemetry = field(default_factory=FaultTelemetry)
-    """Injected-fault and guard-action counters (zero when fault-free)."""
-    membership: Dict[str, int] = field(default_factory=dict)
-    """Final membership census of an elastic run (empty otherwise):
-    per-state head-counts plus ``initial_ranks`` / ``physically_alive``
-    / ``parked_grids``."""
-    residual_trace: List[tuple] = field(default_factory=list)
-    """``(sim_time, rel_residual)`` samples taken at each correction."""
-    activity_trace: List[tuple] = field(default_factory=list)
-    """``(grid, t_start, t_end)`` busy intervals — feed to
-    :func:`repro.utils.ascii_timeline` to *see* the schedule."""
-    trace_summary: Optional["TraceSummary"] = None
-    """Compact digest of the recorded trace when the run was handed a
-    :class:`~repro.observe.Tracer` (None otherwise)."""
-    kernel_backend: str = "numpy"
-    """Active :mod:`repro.kernels` backend the run executed with."""
-    live_summary: Optional["LiveSummary"] = None
-    """Live-telemetry digest (snapshots, alerts, profile) when the run
-    was configured with ``live=LiveConfig(...)`` (None otherwise)."""
-
-    @property
-    def corrects(self) -> float:
-        return float(self.counts.mean())
 
 
 def simulate_distributed(
@@ -165,7 +120,7 @@ def simulate_distributed(
     elastic: Optional[ElasticityPolicy] = None,
     churn: Optional[ChurnPlan] = None,
     nranks: Optional[int] = None,
-) -> DistributedResult:
+) -> RunResult:
     """Simulate distributed asynchronous additive multigrid.
 
     Parameters
@@ -203,15 +158,11 @@ def simulate_distributed(
         digest lands on ``result.trace_summary``.  Like the engine, a
         fixed seed reproduces the event stream exactly.
     live:
-        Optional :class:`~repro.observe.live.LiveConfig`.  Runs the
-        streaming snapshot collector alongside the simulation; implies
-        tracing (a ``clock="sim"`` tracer is created when none was
-        given) and ``track_trace``.  Snapshots additionally carry the
-        event-queue depth and (elastic runs) the live membership
-        census.  The collector only reads, so results are unchanged;
-        an ``alert_stop`` alert ends the run at the next event pop
-        (reported as ``stalled``).  Digest lands on
-        ``result.live_summary``.
+        Optional :class:`~repro.observe.live.LiveConfig` (see
+        :class:`~repro.core.run.RunContext`); also implies
+        ``track_trace``.  Snapshots additionally carry the event-queue
+        depth and (elastic runs) the live membership census; an
+        ``alert_stop`` alert ends the run at the next event pop.
     elastic / churn / nranks:
         Elastic membership (see :mod:`repro.distributed.elastic`).
         Passing any of the three enables the rank-pool model:
@@ -222,16 +173,8 @@ def simulate_distributed(
         heartbeat cadence and suspicion/eviction timeouts.  Without
         churn the elastic run is bit-identical to a plain run.
     """
-    if strategy not in _STRATEGIES:
-        raise ValueError(f"strategy must be one of {_STRATEGIES}")
-    if criterion not in ("criterion1", "criterion2"):
-        raise ValueError("criterion must be criterion1 or criterion2")
-    if live is not None:
-        if tracer is None:
-            from ..observe.tracer import Tracer as _Tracer
-
-            tracer = _Tracer(clock="sim")
-        track_trace = True  # detectors need residual events
+    check_choice("strategy", strategy, _STRATEGIES)
+    check_choice("criterion", criterion, CRITERIA)
     net = network or NetworkModel(seed=seed)
     mach = machine or MachineParams()
     rng = np.random.default_rng(seed)
@@ -251,20 +194,18 @@ def simulate_distributed(
 
     b = np.asarray(b, dtype=np.float64)
     nb = two_norm(b) or 1.0
+    ctx = RunContext("distributed", ngrids, nb, faults, guard, tracer, live, clock="sim")
+    tracer = ctx.tracer
+    track_trace = track_trace or live is not None  # detectors need residual events
+    telemetry = ctx.telemetry
+    injector = ctx.injector
+    grd = ctx.guard
     x_true = np.zeros(n)
     r0 = b.copy()
     if strategy == "global":
         replicas = [r0.copy() for _ in range(ngrids)]
     else:
         replicas = [np.zeros(n) for _ in range(ngrids)]
-
-    telemetry = FaultTelemetry()
-    injector = (
-        FaultInjector(faults, ngrids)
-        if faults is not None and faults.active
-        else None
-    )
-    grd = Guard(guard, nb, telemetry) if guard is not None else None
     # All liveness state — the plain path's grid crash flags and the
     # elastic path's per-rank membership arrays — lives behind the
     # MembershipManager (sole mutator; linter rule RPR008).
@@ -277,12 +218,13 @@ def simulate_distributed(
         tracer=tracer,
     )
 
-    counts = np.zeros(ngrids, dtype=np.int64)
+    crit = Criterion(criterion, tmax, ngrids)
+    counts = crit.counts
     msg_bytes = 8.0 * n
     flops_total = 0.0
     messages = 0
     dropped = 0
-    trace: List[tuple] = []
+    samples: List[Tuple[float, float]] = []
 
     def correction_duration(k: int, t: float) -> Tuple[float, float]:
         flops = solver.correction_flops(k)
@@ -302,7 +244,13 @@ def simulate_distributed(
             # Parked grids (no assigned ranks) cannot correct; waiting
             # on them would hang criterion2 forever after a churn loss.
             return bool(np.all((counts >= tmax) | ~mm.staffed()))
-        return bool(np.all(counts >= tmax))
+        return crit.all_done()
+
+    def keep_going(k: int) -> bool:
+        """Whether grid ``k`` computes another correction."""
+        if elastic_on and criterion == "criterion2":
+            return not all_done()
+        return not crit.grid_done(k)
 
     q = IndexedEventQueue()
     msg_ids = itertools.count()
@@ -437,23 +385,9 @@ def simulate_distributed(
     if elastic_on:
         q.push(pol.heartbeat_interval, "hb", -1, None)
 
-    # Cached zero correction for guard-rejected updates (read-only by
-    # construction — it is added to the iterate and shipped in
-    # messages, never written).
-    zeros_e = np.zeros(n, dtype=np.float64) if grd is not None else None
-    # Per-kernel attribution for traced runs.
-    stats_were_on = False
-    kstats0: dict = {}
-    if tracer is not None:
-        stats_were_on = kernels.enable_stats(True)
-        kstats0 = kernels.stats()
-
-    live_session = None
-    if live is not None:
-        from ..observe.live import start_live
-
-        assert tracer is not None
-        live_session = start_live(live, tracer, backend="distributed")
+    ctx.begin()
+    live_session = ctx.live_session
+    if live_session is not None:
         # Queue depth + live membership census ride on every snapshot.
         live_session.collector.queue_depth_fn = lambda: float(len(q))
         if elastic_on:
@@ -486,26 +420,19 @@ def simulate_distributed(
             if mm.grid_down[proc]:
                 continue  # stale event from before a crash (defensive)
             e = payload
-            if injector is not None:
-                e = injector.corrupt(e, telemetry)
-            if grd is not None:
-                screened = grd.screen(e)
+            if ctx.screens:
                 # A rejected correction is discarded outright: the
                 # process just computes the next one from its replica.
-                if screened is None:
-                    assert zeros_e is not None
-                    e = zeros_e
-                else:
-                    e = screened
+                e = ctx.screen(e)
             # The discrete-event loop is single-threaded: the true
             # iterate is only touched here, between events.
             x_true += e  # repro: noqa[RPR001] event-loop is the serialization point
-            counts[proc] += 1
+            crit.record(proc)
             commit_epoch += 1
             rel_now: Optional[float] = None
             if track_trace:
                 rel_now = float(kernels.residual_norm(A, x_true, b) / nb)
-                trace.append((t, rel_now))
+                samples.append((t, rel_now))
             if tracer is not None:
                 stal = (
                     float(commit_epoch - 1 - last_read_epoch[proc])
@@ -530,38 +457,29 @@ def simulate_distributed(
                     continue
                 transmit(proc, j, out, t, next(msg_ids), attempt=0)
             # --- divergence detection (guarded runs roll back below) -
-            m = float(np.abs(x_true).max()) if n else 0.0
-            unhealthy = not np.isfinite(m) or m > divergence_threshold * max(nb, 1.0)
+            unhealthy = exploded(x_true, divergence_threshold, nb)
             # --- guard: periodic checkpoint / spike rollback ---------
             if ckpt_every and int(counts.sum()) % ckpt_every == 0:
                 if rel_now is None:
                     rel_now = float(kernels.residual_norm(A, x_true, b) / nb)
                     if tracer is not None:
                         tracer.record("residual", proc, t, rel_now, 0.0, "global")
-                action, x_restore = grd.checkpoint_or_rollback(x_true, rel_now)
-                if tracer is not None and action != "none":
-                    tracer.record("guard", proc, t, tag=action)
-                if action == "rollback":
+                x_restore = ctx.checkpoint(x_true, rel_now, proc, t)
+                if x_restore is not None:
                     x_true = x_restore
                     for j in range(ngrids):
                         if not mm.grid_down[j]:
                             resync_replica(j)
                     unhealthy = False
             if unhealthy:
-                recovered = False
-                if grd is not None:
-                    action, x_restore = grd.checkpoint_or_rollback(x_true, np.inf)
-                    if action == "rollback":
-                        if tracer is not None:
-                            tracer.record("guard", proc, t, tag="rollback")
-                        x_true = x_restore
-                        for j in range(ngrids):
-                            if not mm.grid_down[j]:
-                                resync_replica(j)
-                        recovered = True
-                if not recovered:
+                x_restore = ctx.checkpoint(x_true, np.inf, proc, t) if grd is not None else None
+                if x_restore is None:
                     diverged = True
                     continue
+                x_true = x_restore
+                for j in range(ngrids):
+                    if not mm.grid_down[j]:
+                        resync_replica(j)
             # --- fail-stop crash at the correction boundary ----------
             if injector is not None and injector.crash_due(proc, int(counts[proc])):
                 mm.mark_grid_down(proc)
@@ -580,10 +498,7 @@ def simulate_distributed(
                         )
                     q.push(t_up, "restart", proc, None)
                 continue
-            keep_going = (
-                counts[proc] < tmax if criterion == "criterion1" else not all_done()
-            )
-            if keep_going:
+            if keep_going(proc):
                 start_compute(proc, t)
         elif kind == "restart":
             mm.mark_grid_up(proc)
@@ -594,10 +509,7 @@ def simulate_distributed(
             t_sync = t + net.transfer_time(peer, proc, msg_bytes)
             resync_replica(proc)
             dedup.clear_rank(proc)
-            keep_going = (
-                counts[proc] < tmax if criterion == "criterion1" else not all_done()
-            )
-            if keep_going:
+            if keep_going(proc):
                 start_compute(proc, t_sync)
         elif kind == "retransmit":
             src, vec, mid, attempt = payload
@@ -640,10 +552,7 @@ def simulate_distributed(
         elif kind == "wake":
             if mm.grid_down[proc] or inflight[proc] is not None:
                 continue
-            keep_going = (
-                counts[proc] < tmax if criterion == "criterion1" else not all_done()
-            )
-            if keep_going:
+            if keep_going(proc):
                 start_compute(proc, t)
         elif kind == "sync":
             # Checkpoint handoff landed: the grid's fresh team starts
@@ -654,10 +563,7 @@ def simulate_distributed(
             dedup.clear_rank(proc)
             if tracer is not None:
                 tracer.record("guard", proc, t, tag="restart")
-            keep_going = (
-                counts[proc] < tmax if criterion == "criterion1" else not all_done()
-            )
-            if keep_going:
+            if keep_going(proc):
                 start_compute(proc, t)
         else:  # msg
             if mm.grid_down[proc]:
@@ -674,10 +580,10 @@ def simulate_distributed(
             replicas[proc] += vec
 
     rel = kernels.residual_norm(A, x_true, b) / nb
-    diverged = bool(diverged or not np.isfinite(rel) or rel > divergence_threshold)
-    if (injector is not None or elastic_on) and not diverged and not all_done():
-        stalled = True
-    stalled = stalled and not diverged
+    diverged, stalled = final_verdict(
+        rel, divergence_threshold, diverged, stalled, all_done(),
+        injector is not None or elastic_on,
+    )
     membership: Dict[str, int] = {}
     degraded = False
     if elastic_on:
@@ -695,17 +601,11 @@ def simulate_distributed(
                 or bool(np.any(counts < tmax))
             )
         )
-    if tracer is not None:
-        for kname, (calls, secs) in sorted(kernels.stats_delta(kstats0).items()):
-            tracer.record("kernel", -1, wall, float(secs), float(calls), kname)
-        kernels.enable_stats(stats_were_on)
-    # Final collection + teardown before the summary so alert events
-    # recorded by the collector are part of the merged trace.
-    live_summary = live_session.finish() if live_session is not None else None
-    return DistributedResult(
-        x=x_true,
-        rel_residual=float(rel),
-        counts=counts,
+    return ctx.result(
+        x_true,
+        float(rel),
+        counts,
+        t_end=wall,
         wall_time=wall,
         messages=messages,
         strategy=strategy,
@@ -714,12 +614,8 @@ def simulate_distributed(
         stalled=stalled,
         degraded=degraded,
         nranks=nranks_val if elastic_on else 0,
-        telemetry=telemetry,
         membership=membership,
         flops_total=flops_total,
-        residual_trace=trace,
+        residual_samples=samples,
         activity_trace=activity,
-        trace_summary=tracer.summary() if tracer is not None else None,
-        kernel_backend=kernels.current_backend(),
-        live_summary=live_summary,
     )

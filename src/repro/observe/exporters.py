@@ -22,6 +22,7 @@ import json
 from pathlib import Path
 from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..core.run import RunResult
 from .events import (
     ALERT,
     CORRECT_BEGIN,
@@ -199,25 +200,16 @@ def residual_series(
 
 
 def series_from_result(result: Any) -> List[Tuple[float, float]]:
-    """Uniform residual-vs-time series from any backend's result.
+    """Residual-vs-time series of a run or a model simulation.
 
-    Handles the three executors plus the Section-III model simulators:
-    ``residual_samples`` (threaded — already ``(seconds, relres)``),
-    ``residual_trace`` of ``(t, relres)`` tuples (distributed), and
-    ``residual_trace`` of bare floats (engine / models — indexed by
-    correction number).
+    A :class:`~repro.core.run.RunResult` carries its
+    ``residual_samples`` as ``(t, relres)`` already; the Section-III
+    model simulators record bare ``residual_trace`` floats, numbered
+    here by time instant.
     """
-    samples = getattr(result, "residual_samples", None)
-    if samples:
-        return [(float(t), float(v)) for t, v in samples]
-    trace = getattr(result, "residual_trace", None) or []
-    out: List[Tuple[float, float]] = []
-    for i, item in enumerate(trace):
-        if isinstance(item, (tuple, list)):
-            out.append((float(item[0]), float(item[1])))
-        else:
-            out.append((float(i), float(item)))
-    return out
+    if isinstance(result, RunResult):
+        return [(float(t), float(v)) for t, v in result.residual_samples]
+    return [(float(i), float(v)) for i, v in enumerate(result.residual_trace)]
 
 
 def write_residual_series(

@@ -39,6 +39,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from ..core.run import screen_correction
 from ..kernels import range_residual_block
 from ..resilience import FaultInjector, FaultTelemetry, Guard
 from ..solvers import AdditiveMultigrid
@@ -173,15 +174,12 @@ def solve_batch(
                     finish(j, FAILED, cause="worker_crash", crashed=True)
                     crashed = True
                     break
-                e = solver.correction(g, r)
-                if ctx.injector is not None:
-                    e = ctx.injector.corrupt(e, ctx.telemetry)
-                if ctx.guard is not None:
-                    screened = ctx.guard.screen(e, ctx.telemetry)
-                    if screened is None:
-                        rejected += 1
-                        continue
-                    e = screened
+                e = screen_correction(
+                    solver.correction(g, r), ctx.injector, ctx.guard, ctx.telemetry
+                )
+                if e is None:
+                    rejected += 1
+                    continue
                 out += e
             if crashed:
                 continue

@@ -45,13 +45,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..amg import SetupOptions
+from ..core.run import RunContext
 from ..kernels.setupcache import (
     cached_setup_hierarchy,
     register_setupcache_metrics,
     setup_cache_info,
 )
 from ..observe import Metrics
-from ..resilience import FaultInjector, FaultPlan, FaultTelemetry, Guard, GuardPolicy
+from ..resilience import FaultInjector, FaultPlan, GuardPolicy
 from ..solvers import AdditiveMultigrid, Multadd
 from .admission import AdmissionQueue
 from .batch import ColumnContext, solve_batch
@@ -459,20 +460,19 @@ class SolveServer:
 
     def _context_for(self, job: Job, solver: AdditiveMultigrid) -> ColumnContext:
         spec = job.spec
-        injector = self._injector_for(job, solver.ngrids)
-        guard = None
-        if self.config.guard_policy is not None:
-            guard = Guard(
-                self.config.guard_policy, ref_norm=float(np.linalg.norm(spec.b))
-            )
+        # The column's own guard and telemetry, the guard anchored to
+        # this column's ||b||; the injector persists across retries.
+        run = RunContext(
+            "serve", solver.ngrids, float(np.linalg.norm(spec.b)), guard=self.config.guard_policy
+        )
         return ColumnContext(
             tol=spec.tol,
             tmax=spec.tmax,
             divergence_threshold=spec.divergence_threshold,
             t_deadline=job.t_deadline,
-            injector=injector,
-            guard=guard,
-            telemetry=FaultTelemetry(),
+            injector=self._injector_for(job, solver.ngrids),
+            guard=run.guard,
+            telemetry=run.telemetry,
         )
 
     def _injector_for(self, job: Job, ngrids: int) -> Optional[FaultInjector]:

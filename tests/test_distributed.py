@@ -150,8 +150,8 @@ class TestDistributedSimulation:
         res = simulate_distributed(
             multadd, b_7pt, tmax=5, seed=0, track_trace=True
         )
-        assert len(res.residual_trace) == 5 * multadd.ngrids
-        times = [t for t, _ in res.residual_trace]
+        assert len(res.residual_samples) == 5 * multadd.ngrids
+        times = [t for t, _ in res.residual_samples]
         assert times == sorted(times)
 
 

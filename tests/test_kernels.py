@@ -313,7 +313,7 @@ class TestEngineBitIdentity:
         assert got.kernel_backend == "numpy"
         assert np.array_equal(ref.x, got.x)
         assert ref.rel_residual == got.rel_residual
-        assert [s for s in ref.residual_trace] == [s for s in got.residual_trace]
+        assert ref.residual_samples == got.residual_samples
 
 
 class TestSetupCache:

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.run import RunResult
 from repro.core.writes import AtomicWrite, LockWrite, UnsafeWrite
 from repro.observe import (
     Counter,
@@ -312,19 +313,18 @@ class TestExporters:
         assert read_residual_series(path) == series
 
     def test_series_from_result_shapes(self):
-        class Threaded:
-            residual_samples = [(0.1, 1.0), (0.2, 0.5)]
+        run = RunResult(
+            x=np.zeros(1),
+            rel_residual=0.5,
+            counts=np.ones(1),
+            residual_samples=[(0.1, 1.0), (0.2, 0.5)],
+        )
 
-        class Distributed:
-            residual_samples = []
-            residual_trace = [(0.0, 1.0), (1.0, 0.25)]
-
-        class Engine:
+        class Model:
             residual_trace = [1.0, 0.5, 0.25]
 
-        assert series_from_result(Threaded()) == [(0.1, 1.0), (0.2, 0.5)]
-        assert series_from_result(Distributed()) == [(0.0, 1.0), (1.0, 0.25)]
-        assert series_from_result(Engine()) == [(0.0, 1.0), (1.0, 0.5), (2.0, 0.25)]
+        assert series_from_result(run) == [(0.1, 1.0), (0.2, 0.5)]
+        assert series_from_result(Model()) == [(0.0, 1.0), (1.0, 0.5), (2.0, 0.25)]
 
 
 class TestTraceAnalyzer:

@@ -59,7 +59,7 @@ class TestEngineTracing:
             solver, b_7pt, tmax=6, seed=3, track_trace=True, tracer=tracer
         )
         rel = [e.a for e in tracer.events() if e.kind == "residual"]
-        assert rel == list(res.residual_trace)
+        assert rel == [v for _, v in res.residual_samples]
 
     def test_summary_attached_and_optional(self, solver, b_7pt):
         res, tracer = engine_events(solver, b_7pt)

@@ -587,10 +587,16 @@ class TestEngineLive:
 
 class TestThreadedLive:
     def test_mid_run_scrapes_show_decreasing_residual(self, solver, b_7pt):
-        # Stall the finest grid so the run lasts long enough to scrape
-        # while the other grids keep correcting.
+        # Hold every grid for 0.3 s before its first correction, so the
+        # first scrape sees the starting residual however long the
+        # endpoint takes to answer it, then stall the finest grid so
+        # the run lasts long enough to scrape while the other grids
+        # keep correcting.
         port = _free_port()
-        faults = FaultPlan(stalls=(StallFault(grid=0, after=1, duration=1.0),))
+        hold = tuple(
+            StallFault(grid=g, after=0, duration=0.3) for g in range(solver.ngrids)
+        )
+        faults = FaultPlan(stalls=hold + (StallFault(grid=0, after=1, duration=1.0),))
         cfg = LiveConfig(interval_s=0.05, metrics_port=port)
         box = {}
 

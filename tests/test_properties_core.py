@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ScheduleParams, StalenessSchedule, VectorHistory
-from repro.core.criteria import Criterion1, Criterion2
+from repro.core.run import Criterion
 
 
 class TestScheduleProperties:
@@ -66,7 +66,7 @@ class TestCriteriaProperties:
     @given(st.integers(1, 6), st.integers(1, 10), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_criterion1_stops_exactly(self, ngrids, tmax, seed):
-        c = Criterion1(ngrids, tmax)
+        c = Criterion("criterion1", tmax, ngrids)
         rng = np.random.default_rng(seed)
         while not c.all_done():
             k = int(rng.integers(ngrids))
@@ -77,7 +77,7 @@ class TestCriteriaProperties:
     @given(st.integers(1, 6), st.integers(1, 10), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_criterion2_minimum_reached(self, ngrids, tmax, seed):
-        c = Criterion2(ngrids, tmax)
+        c = Criterion("criterion2", tmax, ngrids)
         rng = np.random.default_rng(seed)
         guard = 0
         while not c.all_done() and guard < 100000:
