@@ -72,7 +72,6 @@ def _percentiles(latencies_s):
 
 def _start_server(problem, **config_kw):
     config_kw.setdefault("workers", WORKERS)
-    config_kw.setdefault("tick_s", 0.002)
     server = SolveServer(ServeConfig(**config_kw)).start()
     server.register_operator(
         "good", problem.A, solver_kwargs={"weight": problem.jacobi_weight}

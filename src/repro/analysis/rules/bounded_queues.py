@@ -13,15 +13,19 @@ This rule flags, in any module under a ``serve/`` directory:
 
 - construction of an unbounded queue — ``Queue``/``LifoQueue``/
   ``PriorityQueue``/``JoinableQueue`` with no ``maxsize`` or a
-  constant ``maxsize <= 0``, and ``SimpleQueue`` always (it cannot be
+  constant ``maxsize <= 0``, ``deque`` with no ``maxlen`` or a
+  constant ``maxlen=None``, and ``SimpleQueue`` always (it cannot be
   bounded);
 - blocking calls with no bound — zero-positional-argument ``.get()``,
   ``.join()``, ``.acquire()``, or ``.wait()`` without a ``timeout``
   keyword (a ``blocking=False``/``block=False`` keyword also counts
   as bounded: it cannot wait at all).
 
-A variable ``maxsize`` and a positional timeout (``t.join(2.0)``)
-are accepted — the rule only flags what it can prove unbounded.
+A variable ``maxsize``/``maxlen`` and a positional timeout
+(``t.join(2.0)``) are accepted — the rule only flags what it can prove
+unbounded.  A deque whose depth the code bounds some other way (the
+admission queue checks ``max_depth`` on every offer) carries a
+justified ``noqa[RPR013]``.
 ``dict.get(key)`` / ``", ".join(parts)`` carry positional arguments
 and are never flagged.
 """
@@ -54,12 +58,13 @@ def _call_name(call: ast.Call) -> str:
     return ""
 
 
-def _maxsize_arg(call: ast.Call) -> Optional[ast.expr]:
-    """The effective ``maxsize`` expression of a queue constructor."""
-    if call.args:
-        return call.args[0]
+def _bound_arg(call: ast.Call, position: int, keyword: str) -> Optional[ast.expr]:
+    """The bound expression of a constructor (``maxsize`` of a queue is
+    its first argument, ``maxlen`` of a deque its second)."""
+    if len(call.args) > position:
+        return call.args[position]
     for kw in call.keywords:
-        if kw.arg == "maxsize":
+        if kw.arg == keyword:
             return kw.value
     return None
 
@@ -72,9 +77,10 @@ class BoundedQueueRule(Rule):
         "calls (get/join/acquire/wait) must carry timeouts"
     )
     hint = (
-        "construct queues with a positive maxsize (or use the bounded "
-        "AdmissionQueue) and pass timeout= to every blocking wait so "
-        "overload and crashes surface as rejected/degraded, not hangs"
+        "construct queues with a positive maxsize and deques with a "
+        "maxlen (or use the bounded AdmissionQueue) and pass timeout= "
+        "to every blocking wait so overload and crashes surface as "
+        "rejected/degraded, not hangs"
     )
     #: any module under a serve/ directory (see :meth:`applies_to`).
     scope = ("serve/",)
@@ -99,8 +105,22 @@ class BoundedQueueRule(Rule):
                     )
                 )
                 continue
+            if name == "deque":
+                maxlen = _bound_arg(node, 1, "maxlen")
+                if maxlen is None or (
+                    isinstance(maxlen, ast.Constant) and maxlen.value is None
+                ):
+                    findings.append(
+                        self.finding(
+                            relpath,
+                            node,
+                            "unbounded deque() — give it a maxlen, or bound "
+                            "its depth where it grows and say so in a noqa",
+                        )
+                    )
+                continue
             if name in _BOUNDABLE_QUEUES:
-                maxsize = _maxsize_arg(node)
+                maxsize = _bound_arg(node, 0, "maxsize")
                 unbounded = maxsize is None or (
                     isinstance(maxsize, ast.Constant)
                     and isinstance(maxsize.value, (int, float))

@@ -78,6 +78,7 @@ __all__ = [
     "to_openmetrics",
     "parse_openmetrics",
     "MetricsServer",
+    "reply_scrape",
     "SnapshotWriter",
     "read_snapshots_jsonl",
     "render_top",
@@ -559,6 +560,42 @@ def parse_openmetrics(
 OPENMETRICS_CONTENT_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
 
+def reply_scrape(
+    handler: BaseHTTPRequestHandler, render: Callable[[], str], timeout_s: float
+) -> None:
+    """Answer one ``GET /metrics`` with the OpenMetrics text ``render()``
+    returns — the one bounded scrape path of every metrics endpoint.
+
+    The collection runs on a helper thread joined with ``timeout_s``: a
+    stalled ``collect()`` provider (one that blocks instead of raising;
+    raising providers are already skipped by :meth:`Metrics.collect`)
+    yields a prompt **503** with ``Retry-After: 1`` instead of a scrape
+    that hangs until the monitoring system gives up.  The helpers are
+    daemons, so a permanently wedged provider can never prevent
+    interpreter shutdown.
+    """
+    box: List[bytes] = []
+
+    def _collect() -> None:
+        box.append(render().encode("utf-8"))
+
+    helper = threading.Thread(target=_collect, name="repro-metrics-collect", daemon=True)
+    helper.start()
+    helper.join(timeout=timeout_s)
+    if box:
+        handler.send_response(200)
+        handler.send_header("Content-Type", OPENMETRICS_CONTENT_TYPE)
+        body = box[0]
+    else:
+        handler.send_response(503)
+        handler.send_header("Content-Type", "text/plain; charset=utf-8")
+        handler.send_header("Retry-After", "1")
+        body = b"metrics collection stalled\n"
+    handler.send_header("Content-Length", str(len(body)))
+    handler.end_headers()
+    handler.wfile.write(body)
+
+
 class MetricsServer:
     """Tiny stdlib scrape endpoint: ``GET /metrics`` returns the
     OpenMetrics exposition of a *fresh* collection (so consecutive
@@ -566,15 +603,10 @@ class MetricsServer:
 
     A scrape is bounded two ways: the handler's socket ``timeout``
     caps how long a wedged *client* can pin a handler thread, and the
-    collection itself runs on a helper thread joined with
-    ``collect_timeout_s`` — a stalled ``collect()`` provider (one that
-    blocks instead of raising; raising providers are already skipped
-    by :meth:`Metrics.collect`) yields a prompt **503** instead of a
-    scrape that hangs until the monitoring system gives up.  While the
-    stalled collection holds the collector's internal lock, follow-up
-    scrapes also 503 promptly (their helpers queue on the lock), and
-    the helpers are daemons, so a permanently wedged provider can
-    never prevent interpreter shutdown.
+    collection itself goes through :func:`reply_scrape`, which answers
+    a stalled ``collect()`` with a prompt **503**.  While the stalled
+    collection holds the collector's internal lock, follow-up scrapes
+    also 503 promptly (their helpers queue on the lock).
     """
 
     def __init__(
@@ -597,33 +629,9 @@ class MetricsServer:
                     self.send_response(404)
                     self.end_headers()
                     return
-                box: List[bytes] = []
-
-                def _collect() -> None:
-                    box.append(
-                        to_openmetrics(collector_ref.collect_once()).encode("utf-8")
-                    )
-
-                helper = threading.Thread(
-                    target=_collect, name="repro-metrics-collect", daemon=True
+                reply_scrape(
+                    self, lambda: to_openmetrics(collector_ref.collect_once()), timeout_s
                 )
-                helper.start()
-                helper.join(timeout=timeout_s)
-                if not box:
-                    body = b"metrics collection stalled\n"
-                    self.send_response(503)
-                    self.send_header("Content-Type", "text/plain; charset=utf-8")
-                    self.send_header("Retry-After", "1")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                    return
-                body = box[0]
-                self.send_response(200)
-                self.send_header("Content-Type", OPENMETRICS_CONTENT_TYPE)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
 
             def log_message(self, format: str, *args: Any) -> None:
                 pass  # scrape logs stay out of solver stdout

@@ -17,9 +17,13 @@ Shedding returns the victims to the caller instead of completing them
 here: the server owns result completion (single completion path), the
 queue owns ordering and bounds.
 
-Every blocking operation takes a timeout (linter rule RPR013): the
-dispatcher polls :meth:`take` with its tick, so server shutdown never
-hangs on an empty queue.
+The server's worker threads are the consumers: each takes the head
+job itself and coalesces queued same-operator jobs behind it with
+:meth:`take_matching`, so a job waits here and nowhere else.  Every
+blocking operation takes a timeout (linter rule RPR013): workers wait
+in :meth:`take` for a bounded time, an admitted offer wakes one of
+them and :meth:`close` wakes them all, so server shutdown never hangs
+on an empty queue.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class AdmissionQueue:
             raise ValueError("high_water must be in [1, max_depth]")
         self.max_depth = int(max_depth)
         self.high_water = int(hw)
-        self._q: Deque[Job] = deque()
+        self._q: Deque[Job] = deque()  # repro: noqa[RPR013] offer() bounds it at max_depth
         self._cond = threading.Condition()
         self._closed = False
 
@@ -86,9 +90,10 @@ class AdmissionQueue:
 
     # -- consumer side -------------------------------------------------
     def take(self, timeout: float) -> Optional[Job]:
-        """Pop the oldest job, waiting up to ``timeout`` seconds."""
+        """Pop the oldest job, waiting up to ``timeout`` seconds (not at
+        all once closed)."""
         with self._cond:
-            if not self._q:
+            if not self._q and not self._closed:
                 self._cond.wait(timeout=timeout)
             if not self._q:
                 return None
@@ -99,16 +104,10 @@ class AdmissionQueue:
         order preserved among them) — the batch coalescing hook."""
         if limit < 1:
             return []
-        out: List[Job] = []
         with self._cond:
-            kept: Deque[Job] = deque()
-            while self._q:
-                j = self._q.popleft()
-                if len(out) < limit and j.spec.operator.fingerprint == fingerprint:
-                    out.append(j)
-                else:
-                    kept.append(j)
-            self._q = kept
+            out = [j for j in self._q if j.spec.operator.fingerprint == fingerprint][:limit]
+            for j in out:
+                self._q.remove(j)
         return out
 
     # -- lifecycle / introspection ------------------------------------

@@ -47,11 +47,6 @@ from .jobs import DEGRADED, FAILED, OK
 
 __all__ = ["ColumnContext", "ColumnOutcome", "solve_batch"]
 
-#: Causes attributed to the *operator* (they feed the circuit breaker),
-#: as opposed to ``worker_crash`` (attributed to the worker).
-OPERATOR_FAULT_CAUSES = ("divergence", "guard_trip", "timeout")
-
-
 @dataclass(frozen=True)
 class ColumnContext:
     """Per-column solve parameters (one submitted job)."""

@@ -4,10 +4,10 @@ Endpoints (stdlib ``ThreadingHTTPServer``, loopback by default):
 
 - ``GET /metrics`` — OpenMetrics exposition of the server's
   :class:`~repro.observe.Metrics` registry (counters/gauges as gauges,
-  histograms with ``_bucket``/``_sum``/``_count`` samples).  The
-  collection runs on a bounded helper thread: a stalled provider
-  yields **503** promptly, same contract as
-  :class:`repro.observe.MetricsServer`.
+  histograms with ``_bucket``/``_sum``/``_count`` samples), served
+  through the same bounded scrape path as
+  :class:`repro.observe.MetricsServer` (:func:`repro.observe.live.reply_scrape`):
+  a stalled provider yields **503** with ``Retry-After: 1`` promptly.
 - ``GET /healthz`` — liveness + queue depth as JSON.
 - ``GET /stats`` — the full :meth:`SolveServer.stats` snapshot.
 - ``POST /submit`` — one solve job as JSON; blocks until the job's
@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..observe import Metrics
+from ..observe.live import reply_scrape
 from .server import SolveServer
 
 __all__ = ["metrics_to_openmetrics", "ServeHTTPServer"]
@@ -101,70 +102,33 @@ class ServeHTTPServer:
         class _Handler(BaseHTTPRequestHandler):
             timeout = max(timeout_s, grace_s)  # socket read bound
 
-            def _reply(
-                self, code: int, body: bytes, ctype: str = "application/json"
-            ) -> None:
+            def _reply_json(self, code: int, obj: Dict[str, Any]) -> None:
+                body = json.dumps(obj).encode("utf-8")
                 self.send_response(code)
-                self.send_header("Content-Type", ctype)
+                self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
 
-            def _reply_json(self, code: int, obj: Dict[str, Any]) -> None:
-                self._reply(code, json.dumps(obj).encode("utf-8"))
-
             def do_GET(self) -> None:  # noqa: N802 - http.server API
                 path = self.path.split("?", 1)[0]
                 if path == "/metrics":
-                    self._get_metrics()
+                    reply_scrape(
+                        self, lambda: metrics_to_openmetrics(solve_server.metrics), timeout_s
+                    )
                 elif path == "/healthz":
                     self._reply_json(
                         200,
                         {
                             "status": "ok",
                             "queue_depth": solve_server.admission.depth(),
-                            "workers_alive": len(
-                                [
-                                    t
-                                    for t in solve_server.alive_threads()
-                                    if t.name.startswith("serve-worker")
-                                ]
-                            ),
+                            "workers_alive": len(solve_server.alive_threads()),
                         },
                     )
                 elif path == "/stats":
                     self._reply_json(200, _jsonable(solve_server.stats()))
                 else:
                     self._reply_json(404, {"error": f"unknown path {path}"})
-
-            def _get_metrics(self) -> None:
-                box: List[bytes] = []
-
-                def _collect() -> None:
-                    box.append(
-                        metrics_to_openmetrics(solve_server.metrics).encode("utf-8")
-                    )
-
-                helper = threading.Thread(
-                    target=_collect, name="serve-metrics-collect", daemon=True
-                )
-                helper.start()
-                helper.join(timeout=timeout_s)
-                if not box:
-                    self._reply(
-                        503,
-                        b"metrics collection stalled\n",
-                        ctype="text/plain; charset=utf-8",
-                    )
-                    return
-                self._reply(
-                    200,
-                    box[0],
-                    ctype=(
-                        "application/openmetrics-text; "
-                        "version=1.0.0; charset=utf-8"
-                    ),
-                )
 
             def do_POST(self) -> None:  # noqa: N802 - http.server API
                 path = self.path.split("?", 1)[0]

@@ -8,15 +8,16 @@ order a job meets them:
    fast-fail the operator (``rejected/circuit_open``); otherwise the
    bounded admission queue (:mod:`repro.serve.admission`) accepts,
    rejects (``overloaded``) or sheds by tenant-fair policy.
-2. **dispatch** — a single dispatcher thread pops the queue head and
+2. **take** — each worker thread takes the queue head itself and
    *coalesces* up to ``batch_max - 1`` more queued jobs for the same
-   operator fingerprint into one group (the blocked multi-RHS batch).
-3. **execute** — a pool of worker threads runs each group through
+   operator fingerprint into one group (the blocked multi-RHS batch),
+   so a job only ever waits in the one bounded queue.
+3. **execute** — the worker runs the group through
    :func:`repro.serve.batch.solve_batch` over a solver built once per
    fingerprint on top of the thread-safe setup cache.  Guards screen
    corruptions per column; a fault-plan crash kills only its own job
-   and retires the worker thread — the dispatcher respawns the pool
-   (self-healing) on its next tick.
+   and retires the worker thread, which first starts its successor
+   (self-healing).
 4. **finish** — a failed attempt with retry budget re-enters admission
    after exponential backoff with seeded jitter (no queue jumping); a
    job that runs out of deadline returns ``degraded`` with its best
@@ -25,12 +26,16 @@ order a job meets them:
 
 Per-tenant counters, latency histograms and SLO attainment flow into a
 :class:`repro.observe.Metrics` registry (scrapeable via the observe
-layer's OpenMetrics endpoint); the setup cache and breaker register as
-providers, so one ``collect()`` covers the whole serving stack.
+layer's OpenMetrics endpoint); the setup cache, the breaker and the
+pool's gauges (queue depth, retry backlog, live workers) register as
+providers, read at collect time, so one ``collect()`` covers the whole
+serving stack.
 
-Every blocking primitive here is bounded (linter rule RPR013): the
-dispatcher and workers poll with ``tick_s`` timeouts and shutdown joins
-carry timeouts, so ``stop()`` cannot hang even mid-overload.
+Every blocking primitive here is bounded (linter rule RPR013): an idle
+worker waits on the admission queue for at most ``backoff_base_s``
+(then re-admits the retries now due), an offer wakes one waiting
+worker and ``close()`` wakes them all, and shutdown joins carry
+timeouts, so ``stop()`` cannot hang even mid-overload.
 """
 
 from __future__ import annotations
@@ -105,10 +110,10 @@ class ServeConfig:
     failure_threshold: int = 3
     #: open → half-open probe delay, seconds
     reset_timeout_s: float = 0.25
+    #: first retry backoff, seconds; also the longest an idle worker
+    #: waits before it looks for retries now due
     backoff_base_s: float = 0.01
     backoff_jitter: float = 0.5
-    #: dispatcher/worker poll cadence, seconds
-    tick_s: float = 0.01
     join_timeout_s: float = 5.0
     guard_policy: Optional[GuardPolicy] = field(default_factory=GuardPolicy)
     #: per-tenant fault plans (chaos/injection); each job derives its
@@ -122,8 +127,8 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.workers < 1 or self.batch_max < 1:
             raise ValueError("workers and batch_max must be >= 1")
-        if self.tick_s <= 0 or self.join_timeout_s <= 0:
-            raise ValueError("tick_s and join_timeout_s must be positive")
+        if self.join_timeout_s <= 0:
+            raise ValueError("join_timeout_s must be positive")
         if self.backoff_base_s <= 0 or self.backoff_jitter < 0:
             raise ValueError("backoff_base_s must be > 0, jitter >= 0")
 
@@ -147,18 +152,16 @@ class SolveServer:
         self._solvers: Dict[str, AdditiveMultigrid] = {}
         self._injectors: Dict[int, FaultInjector] = {}
         self._retries: List[Tuple[float, Job]] = []
-        self._work: Deque[List[Job]] = deque()
-        self._work_cond = threading.Condition()
-        self._state_lock = threading.Lock()  # operators/solvers/injectors/retries
+        self._state_lock = threading.Lock()  # operators/solvers/injectors/retries/workers
         self._metrics_lock = threading.Lock()  # serializes multi-writer bumps
         self._results: Deque[JobResult] = deque(maxlen=self.config.result_history)
         self._rng = np.random.default_rng(self.config.seed)
         self._stop = threading.Event()
-        self._dispatcher: Optional[threading.Thread] = None
         self._worker_threads: List[threading.Thread] = []
         self._started = False
         register_setupcache_metrics(self.metrics)
         self.metrics.register_provider("breaker", self._breaker_provider)
+        self.metrics.register_provider("serve", self._pool_provider)
 
     # -- metrics helpers ----------------------------------------------
     def _bump(self, name: str, by: float = 1.0) -> None:
@@ -169,10 +172,6 @@ class SolveServer:
         with self._metrics_lock:
             self.metrics.histogram(name, LATENCY_BUCKETS_S).observe(value)
 
-    def _set_gauge(self, name: str, value: float) -> None:
-        with self._metrics_lock:
-            self.metrics.gauge(name).set(value)
-
     def _breaker_provider(self) -> Dict[str, float]:
         snap = self.breaker.snapshot()
         out = {"closed": 0.0, "open": 0.0, "half_open": 0.0, "trips": 0.0,
@@ -182,6 +181,17 @@ class SolveServer:
             out["trips"] += float(entry["trips"])  # type: ignore[arg-type]
             out["fast_fails"] += float(entry["fast_fails"])  # type: ignore[arg-type]
         return out
+
+    def _pool_provider(self) -> Dict[str, float]:
+        """Queue, pool and retry gauges, read when metrics are collected
+        (so they never go stale while every worker is busy)."""
+        with self._state_lock:
+            backlog = len(self._retries)
+        return {
+            "queue_depth": float(self.admission.depth()),
+            "workers_alive": float(len(self.alive_threads())),
+            "retry_backlog": float(backlog),
+        }
 
     # -- operator registry --------------------------------------------
     def register_operator(
@@ -214,24 +224,30 @@ class SolveServer:
             return self
         self._started = True
         self._stop.clear()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="serve-dispatcher", daemon=True
-        )
-        self._dispatcher.start()
-        for i in range(self.config.workers):
-            self._spawn_worker(i)
+        for _ in range(self.config.workers):
+            self._start_worker()
         return self
 
-    def _spawn_worker(self, idx: int) -> None:
-        t = threading.Thread(
-            target=self._worker_loop, name=f"serve-worker-{idx}", daemon=True
-        )
-        self._worker_threads.append(t)
-        t.start()
+    def _start_worker(self) -> bool:
+        """Start one worker thread; False (none started) once stopping."""
+        with self._state_lock:
+            # Decided under the lock stop() snapshots the workers with,
+            # so no worker starts after that snapshot and goes unjoined.
+            if self._stop.is_set() or not self._started:
+                return False
+            self._worker_threads = [t for t in self._worker_threads if t.is_alive()]
+            t = threading.Thread(
+                target=self._worker_loop,
+                name=f"serve-worker-{len(self._worker_threads)}",
+                daemon=True,
+            )
+            self._worker_threads.append(t)
+            t.start()
+        return True
 
     def stop(self, timeout_s: Optional[float] = None) -> None:
         """Graceful shutdown: reject everything queued, finish what's
-        in flight, join every thread (bounded)."""
+        in flight, join every worker (bounded)."""
         timeout = self.config.join_timeout_s if timeout_s is None else timeout_s
         self._stop.set()
         now = perf_counter()
@@ -240,33 +256,16 @@ class SolveServer:
         with self._state_lock:
             pending = [job for _, job in self._retries]
             self._retries.clear()
+            threads = list(self._worker_threads)
         for job in pending:
             self._complete(job, job.make_result(REJECTED, now, cause="shutdown"))
-        with self._work_cond:
-            self._work_cond.notify_all()
-        threads = list(self._worker_threads)
-        if self._dispatcher is not None:
-            threads.append(self._dispatcher)
         for t in threads:
             t.join(timeout=timeout)
-        # Anything still parked in the work queue after the joins (a
-        # worker died without draining it) resolves as rejected too —
-        # no ticket may hang.
-        leftovers: List[Job] = []
-        with self._work_cond:
-            while self._work:
-                leftovers.extend(self._work.popleft())
-        now = perf_counter()
-        for job in leftovers:
-            self._complete(job, job.make_result(REJECTED, now, cause="shutdown"))
-        self._set_gauge("serve.workers_alive", 0.0)
 
     def alive_threads(self) -> List[threading.Thread]:
-        """Server threads still running (empty after a clean stop)."""
-        threads = list(self._worker_threads)
-        if self._dispatcher is not None:
-            threads.append(self._dispatcher)
-        return [t for t in threads if t.is_alive()]
+        """Worker threads still running (empty after a clean stop)."""
+        with self._state_lock:
+            return [t for t in self._worker_threads if t.is_alive()]
 
     # -- submission ----------------------------------------------------
     def submit(self, spec: JobSpec) -> Ticket:
@@ -304,61 +303,26 @@ class SolveServer:
                 victim, victim.make_result(REJECTED, perf_counter(), cause="shed")
             )
         if not admitted and not any(victim is job for victim in shed):
-            self._complete(job, job.make_result(REJECTED, now, cause="overloaded"))
-
-    # -- dispatcher ----------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        while not self._stop.is_set():
-            now = perf_counter()
-            self._requeue_due_retries(now)
-            self._respawn_dead_workers()
-            self._set_gauge("serve.queue_depth", float(self.admission.depth()))
-            job = self.admission.take(timeout=self.config.tick_s)
-            if job is None:
-                continue
-            group = [job]
-            if self.config.batch_max > 1:
-                group.extend(
-                    self.admission.take_matching(
-                        job.spec.operator.fingerprint, self.config.batch_max - 1
-                    )
-                )
-            with self._work_cond:
-                self._work.append(group)
-                self._work_cond.notify()
-
-    def _requeue_due_retries(self, now: float) -> None:
-        with self._state_lock:
-            due = [job for t, job in self._retries if t <= now]
-            self._retries = [(t, job) for t, job in self._retries if t > now]
-            self._set_retry_gauge_locked()
-        for job in due:
-            # Re-enters admission like any fresh submission: breaker
-            # check, bounded queue, shed policy — no queue jumping.
-            self._admit(job, perf_counter())
-
-    def _set_retry_gauge_locked(self) -> None:
-        with self._metrics_lock:
-            self.metrics.gauge("serve.retry_backlog").set(float(len(self._retries)))
-
-    def _respawn_dead_workers(self) -> None:
-        alive = [t for t in self._worker_threads if t.is_alive()]
-        dead = len(self._worker_threads) - len(alive)
-        self._worker_threads = alive
-        for _ in range(dead):
-            if not self._stop.is_set():
-                self._bump("serve.workers_respawned")
-                self._spawn_worker(len(self._worker_threads))
-        self._set_gauge(
-            "serve.workers_alive",
-            float(sum(1 for t in self._worker_threads if t.is_alive())),
-        )
+            # After stop() the queue is closed: the refusal is the shutdown.
+            cause = "shutdown" if self._stop.is_set() else "overloaded"
+            self._complete(job, job.make_result(REJECTED, now, cause=cause))
 
     # -- workers -------------------------------------------------------
     def _worker_loop(self) -> None:
-        while not self._stop.is_set():
-            group = self._next_group()
-            if group is None:
+        """Take a group, run it, repeat; the thread retires on stop, or
+        once a fault-plan crash killed it mid-job (its successor already
+        runs, see :meth:`_process_group`)."""
+        crashed = False
+        wait_s = self.config.backoff_base_s
+        while not crashed and not self._stop.is_set():
+            job = self.admission.take(timeout=wait_s)
+            group = [] if job is None else [job] + self.admission.take_matching(
+                job.spec.operator.fingerprint, self.config.batch_max - 1
+            )
+            # After the take, so under saturation a due retry can have
+            # a slot this group just freed.
+            wait_s = self._readmit_due_retries()
+            if not group:
                 continue
             try:
                 crashed = self._process_group(group)
@@ -372,21 +336,25 @@ class SolveServer:
                             FAILED, now, cause=f"internal:{type(exc).__name__}"
                         ),
                     )
-                continue
-            if crashed:
-                # A fault-plan crash killed this worker mid-job: the
-                # job already failed (isolated), the thread retires,
-                # and the dispatcher respawns the pool — self-healing.
-                self._bump("serve.worker_crashes")
-                return
 
-    def _next_group(self) -> Optional[List[Job]]:
-        with self._work_cond:
-            if not self._work:
-                self._work_cond.wait(timeout=self.config.tick_s)
-            if not self._work:
-                return None
-            return self._work.popleft()
+    def _readmit_due_retries(self) -> float:
+        """Re-admit the retries now due; return how long the caller may
+        then wait for work: until the next retry comes due, at most
+        ``backoff_base_s``.  No retry comes due sooner than that after
+        it is scheduled, so an idle worker never sleeps through one."""
+        now = perf_counter()
+        wait_s = self.config.backoff_base_s
+        with self._state_lock:
+            due = [job for t, job in self._retries if t <= now]
+            if due:
+                self._retries = [(t, job) for t, job in self._retries if t > now]
+            for t, _ in self._retries:
+                wait_s = min(wait_s, t - now)
+        for job in due:
+            # Re-enters admission like any fresh submission: breaker
+            # check, bounded queue, shed policy — no queue jumping.
+            self._admit(job, perf_counter())
+        return max(wait_s, 0.0)
 
     def _process_group(self, group: List[Job]) -> bool:
         now = perf_counter()
@@ -421,9 +389,16 @@ class SolveServer:
         columns = [job.spec.b for job in live]
         outcomes = solve_batch(solver, columns, contexts)
         done = perf_counter()
-        crashed_any = False
+        crashed = any(out.crashed for out in outcomes)
+        if crashed:
+            # A fault-plan crash killed this worker mid-job.  Count it
+            # and start the successor before any result goes out, so
+            # whoever sees the crashed job's result (or its retry's)
+            # sees a healed pool; the caller then retires this thread.
+            self._bump("serve.worker_crashes")
+            if self._start_worker():
+                self._bump("serve.workers_respawned")
         for job, out in zip(live, outcomes):
-            crashed_any = crashed_any or out.crashed
             self._finish_attempt(
                 job,
                 job.make_result(
@@ -439,7 +414,7 @@ class SolveServer:
                     service_s=done - job.t_dispatch,
                 ),
             )
-        return crashed_any
+        return crashed
 
     def _solver_for(self, ref: OperatorRef) -> AdditiveMultigrid:
         with self._state_lock:
@@ -493,30 +468,30 @@ class SolveServer:
 
     # -- completion ----------------------------------------------------
     def _finish_attempt(self, job: Job, result: JobResult) -> None:
-        if result.status == FAILED:
-            retry_due = self._retry_due(job)
-            if retry_due is not None:
-                self._bump("serve.retries")
-                self._bump(f"serve.retries.{job.spec.tenant}")
-                with self._state_lock:
-                    self._retries.append((retry_due, job))
-                    self._set_retry_gauge_locked()
-                return
+        if result.status == FAILED and self._schedule_retry(job):
+            return
         self._complete(job, result)
 
-    def _retry_due(self, job: Job) -> Optional[float]:
-        """Backoff due-time for the next attempt, or None if the retry
-        budget or remaining deadline cannot cover it."""
+    def _schedule_retry(self, job: Job) -> bool:
+        """Park a failed job for re-admission after its backoff; False
+        if the retry budget, the remaining deadline or shutdown rule
+        the retry out (the failed result then completes the job)."""
         if job.attempts > job.spec.retries:
-            return None
+            return False
         delay = self.config.backoff_base_s * (2.0 ** (job.attempts - 1))
         with self._state_lock:
-            jitter = float(self._rng.random())
-        delay *= 1.0 + self.config.backoff_jitter * jitter
-        due = perf_counter() + delay
-        if due >= job.t_deadline:
-            return None
-        return due
+            # Checked under the lock stop() drains the retries with: a
+            # retry parked after that drain would never end.
+            if self._stop.is_set():
+                return False
+            delay *= 1.0 + self.config.backoff_jitter * float(self._rng.random())
+            due = perf_counter() + delay
+            if due >= job.t_deadline:
+                return False
+            self._bump("serve.retries")
+            self._bump(f"serve.retries.{job.spec.tenant}")
+            self._retries.append((due, job))
+        return True
 
     def _complete(self, job: Job, result: JobResult) -> None:
         self._record_breaker(job, result)
@@ -575,7 +550,5 @@ class SolveServer:
             "setup_cache": setup_cache_info(),
             "metrics": self.metrics.flatten(),
             "results": len(self._results),
-            "workers_alive": len(
-                [t for t in self._worker_threads if t.is_alive()]
-            ),
+            "workers_alive": len(self.alive_threads()),
         }

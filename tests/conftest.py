@@ -6,6 +6,8 @@ mutate fixture objects (solvers copy what they change).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -85,3 +87,60 @@ def hier_elas(A_elas):
         A_elas,
         SetupOptions(aggressive_levels=0, strength_norm="abs", max_coarse=30),
     )
+
+
+class WorkerHold:
+    """Parks a solve-server worker inside ``solve_batch`` while the group
+    it runs carries a held right-hand side, until that RHS is released.
+
+    The server looks ``solve_batch`` up in its module at call time, so
+    patching it there holds workers without any production hook.  With
+    every worker parked, nothing takes from the admission queue, which
+    makes queue depth, shedding and batching deterministic.
+    """
+
+    def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        from repro.serve import server as server_module
+
+        # (b, gate) pairs; holding b keeps the identity test sound
+        self._held: list = []
+        self._entered = threading.Semaphore(0)
+        real = server_module.solve_batch
+
+        def held_solve_batch(solver, columns, *args, **kwargs):
+            for held_b, gate in list(self._held):
+                if not gate.is_set() and any(b is held_b for b in columns):
+                    self._entered.release()
+                    assert gate.wait(timeout=60.0), "held worker never released"
+            return real(solver, columns, *args, **kwargs)
+
+        monkeypatch.setattr(server_module, "solve_batch", held_solve_batch)
+
+    def hold(self, b):
+        """Park any worker whose group carries ``b``, until it is released."""
+        self._held.append((b, threading.Event()))
+
+    def wait_parked(self):
+        """Wait until one more worker has parked on a held RHS."""
+        assert self._entered.acquire(timeout=30.0), "no worker took the held job"
+
+    def plug(self, submit, b):
+        """Hold ``b``, submit it with ``submit(b)``, and return its
+        ticket once a worker is parked on it."""
+        self.hold(b)
+        ticket = submit(b)
+        self.wait_parked()
+        return ticket
+
+    def release(self, b=None):
+        """Release the worker held on ``b`` (every held worker if None)."""
+        for held_b, gate in self._held:
+            if b is None or held_b is b:
+                gate.set()
+
+
+@pytest.fixture()
+def worker_hold(monkeypatch):
+    hold = WorkerHold(monkeypatch)
+    yield hold
+    hold.release()  # never leave a worker parked past its test

@@ -194,6 +194,7 @@ def rpr012_rogue_view(shm):
 
 
 import queue  # noqa: E402
+from collections import deque  # noqa: E402
 from multiprocessing import JoinableQueue  # noqa: E402
 
 
@@ -204,8 +205,10 @@ def rpr013_unbounded_queues(n):
     prio = queue.PriorityQueue(maxsize=0)
     simple = queue.SimpleQueue()
     joinable = JoinableQueue()
+    work = deque()
     bounded = queue.Queue(maxsize=n)  # allowed: caller-bounded depth
-    return inbox, lifo, prio, simple, joinable, bounded
+    ring = deque(maxlen=n)  # allowed: bounded ring
+    return inbox, lifo, prio, simple, joinable, work, bounded, ring
 
 
 def rpr013_unbounded_blocking(q, t, lock, cond):

@@ -241,11 +241,12 @@ class TestFixtureViolations:
     def test_rpr013_queues_and_blocking_calls(self):
         active, _ = lint_fixture()
         msgs = [f.message for f in active if f.code == "RPR013"]
-        # 5 unbounded constructions + 4 unbounded blocking calls in
+        # 6 unbounded constructions + 4 unbounded blocking calls in
         # the RPR013 blocks, plus the bare .acquire() seeded for
         # RPR011 (double-flagged here under ignore_scope).
-        assert len(msgs) == 10
+        assert len(msgs) == 11
         assert sum("SimpleQueue() cannot be bounded" in m for m in msgs) == 1
+        assert sum("unbounded deque()" in m for m in msgs) == 1
         assert sum("unbounded Queue()" in m for m in msgs) == 1
         assert sum("unbounded LifoQueue()" in m for m in msgs) == 1
         assert sum("unbounded PriorityQueue()" in m for m in msgs) == 1
@@ -256,13 +257,14 @@ class TestFixtureViolations:
 
     def test_rpr013_allows_bounded_and_nonblocking(self):
         source = (
-            "import queue\n"
+            "import collections, queue\n"
             "def f(q, t, lock, d, parts):\n"
             "    good = queue.Queue(maxsize=64)\n"
+            "    ring = collections.deque(parts, 8)\n"
             "    item = q.get(timeout=0.5)\n"
             "    t.join(2.0)\n"
             "    lock.acquire(blocking=False)\n"
-            "    return good, item, d.get('key'), ', '.join(parts)\n"
+            "    return good, ring, item, d.get('key'), ', '.join(parts)\n"
         )
         active, _ = lint_source(source, "repro/serve/admission.py")
         assert not any(f.code == "RPR013" for f in active)

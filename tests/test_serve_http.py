@@ -33,7 +33,7 @@ def post(port, path, payload, timeout=60.0):
 
 @pytest.fixture()
 def served():
-    server = SolveServer(ServeConfig(workers=2, tick_s=0.005)).start()
+    server = SolveServer(ServeConfig(workers=2)).start()
     p = build_problem("5pt", 10)
     server.register_operator(
         "poisson", p.A, solver_kwargs={"weight": p.jacobi_weight}
@@ -144,6 +144,7 @@ class TestStalledCollect:
                 get(http.port, "/metrics")
             assert err.value.code == 503
             assert b"stalled" in err.value.read()
+            assert err.value.headers["Retry-After"] == "1"
             # Unwedge: the next scrape serves normally.
             release.set()
             status, body = get(http.port, "/metrics")
