@@ -9,11 +9,12 @@
   async (Eq. 6), full-async solution-based (Eq. 7) and residual-based
   (Eq. 10) simulators.
 - :mod:`repro.core.writes`    — lock-write / atomic-write / unsafe
-  write policies for shared vectors (Section IV).
+  write policies for shared vectors (Section IV), over ``threading``
+  or ``multiprocessing`` locks.
 - :mod:`repro.core.run`       — the run harness every executor shares:
   run context (faults, guard, tracing, live telemetry), the
-  Criterion 1 / 2 stopping rule (Section V), the one result type and
-  the threaded/procs supervisor.
+  Criterion 1 / 2 stopping rule (Section V), the one result type, and
+  the correction loop and supervisor of the threaded and procs workers.
 - :mod:`repro.core.engine`    — the sequential micro-step executor of
   Algorithm 5 (global-res and local-res) with deterministic seeding.
 - :mod:`repro.core.threaded`  — the real-thread shared-memory executor

@@ -1,39 +1,36 @@
 """True-parallel shared-memory executor (``--backend procs``).
 
 One worker **process** per thread-group runs the Algorithm-5 loop
-against vectors living in a single
+(:func:`repro.core.run.correction_loop`, the one the threaded executor
+runs) against vectors living in a single
 :class:`multiprocessing.shared_memory.SharedMemory` block, np-viewed
 zero-copy in every worker — the GIL-free counterpart of
 :mod:`repro.core.threaded`.  Where the threaded executor delivers
 genuine interleaving but no speedup, this executor delivers real
 parallel wall-clock behaviour: the measured Fig.-6 curves come from
-here.
+here.  What is process-specific lives here: the segment, spawn and the
+:class:`SetupBundle`, deterministic mode, telemetry rows and trace
+rings.
 
 Design notes
 ------------
 
 **Memory layout.**  Everything shared lives in one segment, laid out by
 :class:`_Layout` (all slots are 8-byte aligned float64/int64): the
-iterate ``x``, residual ``r`` and RHS ``b`` (each ``n x k``), seqlock
-words for both guarded vectors, per-grid correction counts, control
-flags (stop / criterion-2 done / deterministic done), per-worker
-heartbeats, exit status, telemetry shards and trace rings.  NumPy views
-into the segment are constructed **only** inside
+iterate ``x``, residual ``r`` and RHS ``b`` (one RHS, ``n`` each),
+per-grid correction counts, control flags (stop / criterion-2 done),
+per-worker heartbeats, exit status, telemetry shards and trace rings.
+NumPy views into the segment are constructed **only** inside
 :class:`SharedVectors` (linter rule RPR012 enforces this), so every
 view's lifetime is tied to the object that owns the mapping.
 
-**Write policies on real shared memory.**  ``lock`` is a single
-``multiprocessing`` mutex per vector (:class:`ProcLockWrite`);
-``atomic`` emulates element-granular atomics with striped mp locks for
-writer-writer exclusion plus a per-stripe *seqlock* word for lock-free
-readers (:class:`ProcAtomicWrite`): the writer bumps the word to odd,
-mutates the stripe, bumps it back to even; a reader retries while the
-word is odd or changed across its copy.  This preserves the Section-III
-read model — readers may observe a partially committed update at stripe
-granularity, never a torn element.  The seqlock argument relies on
-store ordering (x86-TSO; on weaker architectures the bounded retry
-falls back to the stripe lock, which is a full barrier).  ``unsafe``
-is the lost-update ablation, as in the threaded executor.
+**Write policies on real shared memory.**  The :mod:`repro.core.writes`
+policies, built over ``multiprocessing`` locks the parent creates:
+``lock`` takes one mutex per vector, ``atomic`` one per stripe, for
+writers and readers alike, so a reader sees whole stripes, possibly
+from different commits (Section IV's read model), and each lock is a
+full barrier on every platform.  ``unsafe`` is the lost-update
+ablation, as in the threaded executor.
 
 **Worker bootstrap.**  Workers are spawned (never forked — the parent
 holds live locks, scipy state and possibly threads) and receive a
@@ -51,9 +48,11 @@ codes and restarted through the existing :class:`~repro.resilience.Guard`
 budget with replica re-sync from the shared iterate.  Telemetry uses
 the single-writer-shard idiom: each worker bumps only its own int64
 row, merged into the run's :class:`FaultTelemetry` at join.  Trace
-events flow through single-writer rings (cursor published after the
-record — same TSO argument), drained by the parent into the run's
-:class:`~repro.observe.Tracer` under worker keys ``"p<wid>"``.
+events flow through single-writer rings, drained by the parent into
+the run's :class:`~repro.observe.Tracer` under worker keys
+``"p<wid>"``.  A ring publishes its cursor after the record with plain
+stores, which assumes store order (x86-TSO); the rings carry telemetry
+only, never solve data.
 
 **Clock.**  Everything here uses ``time.monotonic`` — on Linux it is
 system-wide, so heartbeat timestamps written by workers are directly
@@ -67,8 +66,9 @@ import os
 import time as _time
 import traceback
 from dataclasses import dataclass, replace
+from functools import partial
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -86,26 +86,16 @@ from .run import (
     RunResult,
     Supervisor,
     check_choice,
-    exploded,
-    residual,
+    correction_loop,
     row_blocks,
 )
-from .writes import UnsafeWrite, WritePolicy
+from .writes import WRITES, make_write_policy
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.observe
     from ..observe.live import LiveConfig
     from ..observe.tracer import Tracer
 
-__all__ = [
-    "SetupBundle",
-    "SharedVectors",
-    "ProcLockWrite",
-    "ProcAtomicWrite",
-    "make_proc_write_policy",
-    "run_procs",
-]
-
-_WRITES = ("lock", "atomic", "unsafe")
+__all__ = ["SetupBundle", "SharedVectors", "run_procs"]
 
 #: Worker exit code for an injected fail-stop (distinct from 0/clean
 #: and from Python's 1/traceback so the supervisor can tell them apart
@@ -151,22 +141,18 @@ class _Layout:
     """Geometry of the shared segment (picklable, shipped to workers)."""
 
     n: int
-    k: int
     ngrids: int
     nworkers: int
-    nstripes: int
     ring_capacity: int = _RING_CAPACITY
 
     def slots(self) -> Tuple[Tuple[str, int, str, Tuple[int, ...]], ...]:
         """``(name, count, dtype, shape)`` for every region, in order."""
-        m = self.n * self.k
+        n = self.n
         w = self.nworkers
         return (
-            ("x", m, "f8", (self.n, self.k)),
-            ("r", m, "f8", (self.n, self.k)),
-            ("b", m, "f8", (self.n, self.k)),
-            ("seq_x", self.nstripes, "i8", (self.nstripes,)),
-            ("seq_r", self.nstripes, "i8", (self.nstripes,)),
+            ("x", n, "f8", (n,)),
+            ("r", n, "f8", (n,)),
+            ("b", n, "f8", (n,)),
             ("counts", self.ngrids, "i8", (self.ngrids,)),
             ("flags", _NFLAGS, "i8", (_NFLAGS,)),
             ("heartbeats", w, "f8", (w,)),
@@ -196,21 +182,6 @@ class SharedVectors:
     parent, no matter how workers died.
     """
 
-    _VIEWS = (
-        "x",
-        "r",
-        "b",
-        "seq_x",
-        "seq_r",
-        "counts",
-        "flags",
-        "heartbeats",
-        "status",
-        "telemetry",
-        "ring_cursors",
-        "rings",
-    )
-
     def __init__(
         self, shm: shared_memory.SharedMemory, layout: _Layout, owner: bool
     ) -> None:
@@ -234,7 +205,7 @@ class SharedVectors:
         """Allocate a fresh segment in the parent (auto-named)."""
         shm = shared_memory.SharedMemory(create=True, size=layout.nbytes)
         sv = cls(shm, layout, owner=True)
-        for vname in cls._VIEWS:  # POSIX zero-fills, but be explicit
+        for vname, *_ in layout.slots():  # POSIX zero-fills, but be explicit
             getattr(sv, vname)[...] = 0
         return sv
 
@@ -252,15 +223,6 @@ class SharedVectors:
         """
         return cls(shared_memory.SharedMemory(name=name), layout, owner=False)
 
-    # -- flat views -----------------------------------------------------
-    @property
-    def x_flat(self) -> np.ndarray:
-        return self.x.reshape(-1)
-
-    @property
-    def r_flat(self) -> np.ndarray:
-        return self.r.reshape(-1)
-
     # -- teardown -------------------------------------------------------
     def close(self) -> None:
         """Drop the views and unmap.  Safe to call twice; tolerates a
@@ -269,7 +231,7 @@ class SharedVectors:
         if self._closed:
             return
         self._closed = True
-        for vname in self._VIEWS:
+        for vname, *_ in self.layout.slots():
             setattr(self, vname, None)
         try:
             self._shm.close()
@@ -284,151 +246,6 @@ class SharedVectors:
                 self._shm.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
-
-
-# ----------------------------------------------------------------------
-# Write policies over real shared memory
-# ----------------------------------------------------------------------
-
-
-class ProcLockWrite(WritePolicy):
-    """One ``multiprocessing`` mutex: whole-vector commits and reads."""
-
-    name = "proc-lock"
-
-    def __init__(self, n: int, lock: Any) -> None:
-        super().__init__(n)
-        self._lock = lock
-
-    def add(self, target: np.ndarray, update: np.ndarray) -> None:
-        with self._lock:
-            target += update
-
-    def assign_slice(
-        self, target: np.ndarray, lo: int, hi: int, values: np.ndarray
-    ) -> None:
-        with self._lock:
-            target[lo:hi] = values
-
-    def read(self, source: np.ndarray) -> np.ndarray:
-        with self._lock:
-            return source.copy()
-
-
-class ProcAtomicWrite(WritePolicy):
-    """Striped mp locks + per-stripe seqlock words.
-
-    Writers hold the stripe lock (writer-writer exclusion) and bracket
-    the mutation with two increments of the stripe's shared int64 —
-    odd means "publication in progress".  Readers copy a stripe without
-    any lock, retrying while the word is odd or changed across the
-    copy; after ``max_retries`` failed attempts the reader falls back
-    to the stripe lock (bounded progress under pathological write
-    pressure).  ``read_retries`` / ``lock_fallbacks`` are per-process
-    diagnostic counters (the torn-write property test asserts the retry
-    path actually fires).
-    """
-
-    name = "proc-atomic"
-
-    def __init__(
-        self,
-        n: int,
-        stripe: int,
-        locks: List[Any],
-        seq: np.ndarray,
-        max_retries: int = 64,
-    ) -> None:
-        super().__init__(n)
-        if stripe < 1:
-            raise ValueError("stripe must be >= 1")
-        self.stripe = int(stripe)
-        self.nstripes = max(1, -(-self.n // self.stripe))
-        if len(locks) != self.nstripes or seq.shape[0] != self.nstripes:
-            raise ValueError(
-                f"need {self.nstripes} locks/seq words, "
-                f"got {len(locks)}/{seq.shape[0]}"
-            )
-        self._locks = list(locks)
-        self._seq = seq
-        self.max_retries = int(max_retries)
-        self.read_retries = 0
-        self.lock_fallbacks = 0
-
-    def _ranges(
-        self, lo: int = 0, hi: Optional[int] = None
-    ) -> Iterator[Tuple[int, int, int]]:
-        hi = self.n if hi is None else hi
-        first = lo // self.stripe
-        last = (hi - 1) // self.stripe if hi > lo else first - 1
-        for s in range(first, last + 1):
-            a = max(lo, s * self.stripe)
-            b = min(hi, (s + 1) * self.stripe)
-            yield s, a, b
-
-    def add(self, target: np.ndarray, update: np.ndarray) -> None:
-        seq = self._seq
-        for s, a, b in self._ranges():
-            with self._locks[s]:
-                seq[s] += 1  # odd: stripe unstable
-                target[a:b] += update[a:b]
-                seq[s] += 1  # even: stripe stable again
-
-    def assign_slice(
-        self, target: np.ndarray, lo: int, hi: int, values: np.ndarray
-    ) -> None:
-        seq = self._seq
-        for s, a, b in self._ranges(lo, hi):
-            with self._locks[s]:
-                seq[s] += 1
-                target[a:b] = values[a - lo : b - lo]
-                seq[s] += 1
-
-    def read(self, source: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n)
-        for s, a, b in self._ranges():
-            self._read_stripe(source, out, s, a, b)
-        return out
-
-    def _read_stripe(
-        self, source: np.ndarray, out: np.ndarray, s: int, a: int, b: int
-    ) -> None:
-        seq = self._seq
-        for _ in range(self.max_retries):
-            s1 = int(seq[s])
-            if s1 & 1:  # writer mid-publication
-                self.read_retries += 1
-                continue
-            out[a:b] = source[a:b]
-            if int(seq[s]) == s1:  # unchanged across the copy: clean
-                return
-            self.read_retries += 1
-        self.lock_fallbacks += 1
-        with self._locks[s]:
-            out[a:b] = source[a:b]
-
-
-def make_proc_write_policy(
-    name: str, n: int, stripe: int, locks: List[Any], seq: np.ndarray
-) -> WritePolicy:
-    """Build a cross-process write policy over pre-created mp locks."""
-    if name == "lock":
-        return ProcLockWrite(n, locks[0])
-    if name == "atomic":
-        return ProcAtomicWrite(n, stripe, locks, seq)
-    if name == "unsafe":
-        return UnsafeWrite(n)
-    raise KeyError(f"unknown write policy {name!r}; known: {sorted(_WRITES)}")
-
-
-def _make_locks(write: str, nstripes: int, ctx: Any) -> List[Any]:
-    """Locks for one shared vector, created in the parent (mp locks are
-    only shippable through ``Process`` args, not via late pickling)."""
-    if write == "lock":
-        return [ctx.Lock()]
-    if write == "atomic":
-        return [ctx.Lock() for _ in range(nstripes)]
-    return []
 
 
 # ----------------------------------------------------------------------
@@ -544,22 +361,25 @@ class _WorkerConfig:
 def _ring_record(
     sv: SharedVectors,
     wid: int,
-    t: float,
+    t0: float,
     kind: str,
-    grid: int,
     a: float = 0.0,
     b: float = 0.0,
     tag: str = "",
+    grid: int = -1,
 ) -> None:
-    """Append one event to this worker's ring (single writer).
+    """Append one event, stamped ``monotonic() - t0``, to this worker's
+    ring (single writer); bound to ``sv, wid, t0`` it is the worker's
+    trace sink, called like :meth:`~repro.observe.Tracer.record_here`.
 
-    The record is fully written before the cursor store publishes it —
-    the same store-ordering argument as the seqlock writer.
+    The record is fully written before the cursor store publishes it,
+    which relies on store order (x86-TSO); a reordered store could only
+    garble a telemetry record, never solve data.
     """
     cap = sv.layout.ring_capacity
     cur = int(sv.ring_cursors[wid])
     rec = sv.rings[wid, cur % cap]
-    rec[0] = t
+    rec[0] = _time.monotonic() - t0
     rec[1] = float(_TRACE_KINDS.index(kind))
     rec[2] = float(grid)
     rec[3] = a
@@ -608,7 +428,7 @@ def _run_deterministic(sv: SharedVectors, solver: Any, cfg: _WorkerConfig) -> No
     result back through shared memory.  Bit-identical to a direct
     ``run_async_engine`` call by construction, while still exercising
     the pickle + SharedMemory round trip end to end."""
-    b = np.array(sv.b, copy=True).reshape(-1)
+    b = np.array(sv.b, copy=True)
     res = run_async_engine(
         solver,
         b,
@@ -620,7 +440,7 @@ def _run_deterministic(sv: SharedVectors, solver: Any, cfg: _WorkerConfig) -> No
         seed=cfg.seed,
         divergence_threshold=cfg.divergence_threshold,
     )
-    sv.x_flat[:] = res.x
+    sv.x[:] = res.x
     sv.counts[:] = res.counts
 
 
@@ -635,89 +455,47 @@ def _worker_loop(
     locks_r: List[Any],
     resync: bool,
 ) -> None:
-    lay = sv.layout
-    n, k = lay.n, lay.k
-    m = n * k
+    """Run :func:`~repro.core.run.correction_loop` over this worker's
+    grids against the shared segment."""
+    n = sv.layout.n
     A = solver.A
-    x_flat, r_flat = sv.x_flat, sv.r_flat
-    flags, counts = sv.flags, sv.counts
-    B = np.array(sv.b, copy=True)  # private RHS replica (n, k)
-    b_own = np.ascontiguousarray(B.reshape(-1)) if k == 1 else B
-
-    xpol = make_proc_write_policy(cfg.write, m, cfg.stripe, locks_x, sv.seq_x)
-    rpol = make_proc_write_policy(cfg.write, m, cfg.stripe, locks_r, sv.seq_r)
-    crit = Criterion(cfg.criterion, cfg.tmax, counts, flags[_FLAG_DONE : _FLAG_DONE + 1])
-    shard: Any = _ShardTelemetry(sv.telemetry[wid])
+    b = np.array(sv.b, copy=True)  # private RHS replica
+    xpol = make_write_policy(cfg.write, n, cfg.stripe, locks_x)
+    rpol = make_write_policy(cfg.write, n, cfg.stripe, locks_r)
+    crit = Criterion(cfg.criterion, cfg.tmax, sv.counts, sv.flags[_FLAG_DONE : _FLAG_DONE + 1])
     # Offset the stochastic fault streams per worker so concurrent
     # workers don't draw identical corruption patterns; deterministic
     # schedules (crash/stall) are grid-indexed and unaffected.
     faults = cfg.faults
     if faults is not None:
         faults = replace(faults, seed=faults.seed + wid)
-    ctx = RunContext("procs", lay.ngrids, cfg.nb, faults, cfg.guard)
+    ctx = RunContext("procs", sv.layout.ngrids, cfg.nb, faults, cfg.guard)
     if resync and ctx.injector is not None:
         # A restarted process must not re-serve crash sentences that
         # already executed (the one-shot state died with its predecessor).
-        ctx.injector.forgive_completed_crashes(counts)
+        ctx.injector.forgive_completed_crashes(sv.counts)
 
     # Replicas seeded from the *current* shared state — correct both at
     # cold start (x is x0) and after a watchdog restart.
-    r0 = residual(A, b_own, xpol.read(x_flat), 0, n)
-    r_local: Dict[int, np.ndarray] = {g: r0.copy() for g in grids}
-    shared = (x_flat, r_flat, xpol, rpol)
-    steps = {g: GridStep(cfg.rescomp, A, b_own, rows[g], shared) for g in grids}
-    e_block = np.empty((n, k)) if k > 1 else None  # one per worker, zero per step
+    r0 = kernels.range_residual(A, xpol.read(sv.x), b, 0, n)
+    shared = (sv.x, sv.r, xpol, rpol)
+    flags = sv.flags
 
-    pending = list(grids)
-    while pending:
-        if flags[_FLAG_STOP]:
-            return
-        for g in list(pending):
-            if flags[_FLAG_STOP]:
-                return
-            if crit.grid_done(g):
-                pending.remove(g)
-                continue
-            sv.heartbeats[wid] = _time.monotonic()
-            fault = ctx.fault_due(g, counts, shard)
-            if fault is not None:
-                fkind, dur = fault
-                if cfg.trace:
-                    _ring_record(sv, wid, _time.monotonic() - cfg.t0, "fault", g, a=dur, tag=fkind)
-                if fkind == "crash":
-                    os._exit(_CRASH_EXIT)  # a real fail-stop process death
-                _time.sleep(min(dur, max(0.0, cfg.deadline - _time.monotonic())))
-            if cfg.trace:
-                _ring_record(
-                    sv, wid, _time.monotonic() - cfg.t0, "correct_begin", g,
-                    a=float(counts[g] + 1),
-                )
-            rl = r_local[g]
-            if k == 1:
-                e = solver.correction(g, rl)
-            else:
-                assert e_block is not None
-                for j in range(k):
-                    e_block[:, j] = solver.correction(
-                        g, np.ascontiguousarray(rl[:, j])
-                    )
-                e = e_block.reshape(-1)
-            if ctx.screens:
-                e = ctx.screen(e, shard)
-            r_local[g] = steps[g].commit(e)
-            crit.record(g)
-            sv.heartbeats[wid] = _time.monotonic()
-            if cfg.trace:
-                now = _time.monotonic() - cfg.t0
-                _ring_record(sv, wid, now, "correct_end", g, a=float(counts[g]))
-                _ring_record(
-                    sv, wid, now, "residual", g,
-                    a=float(two_norm(r_local[g].reshape(-1)) / cfg.nb),
-                    tag="local",
-                )
-            if exploded(r_local[g], cfg.divergence_threshold, cfg.nb):
-                flags[_FLAG_STOP] = 1
-                return
+    def stop() -> None:
+        flags[_FLAG_STOP] = 1
+
+    crashed = correction_loop(
+        ctx, crit, solver.correction,
+        {g: GridStep(cfg.rescomp, A, b, rows[g], shared) for g in grids},
+        {g: r0.copy() for g in grids},
+        _ShardTelemetry(sv.telemetry[wid]),
+        heartbeats=sv.heartbeats, slot=wid, clock=_time.monotonic, deadline=cfg.deadline,
+        stopped=lambda: bool(flags[_FLAG_STOP]), stop=stop,
+        nb=cfg.nb, threshold=cfg.divergence_threshold,
+        trace=partial(_ring_record, sv, wid, cfg.t0) if cfg.trace else None,
+    )
+    if crashed:
+        os._exit(_CRASH_EXIT)  # a real fail-stop process death
 
 
 # ----------------------------------------------------------------------
@@ -742,6 +520,17 @@ def _assign_grids(work: np.ndarray, nworkers: int) -> List[List[int]]:
     for lst in owned:
         lst.sort()
     return owned
+
+
+def _make_locks(write: str, n: int, stripe: int, ctx: Any) -> List[Any]:
+    """The write policy's locks for one shared vector, created in the
+    parent (mp locks are only shippable through ``Process`` args, not
+    via late pickling)."""
+    if write == "lock":
+        return [ctx.Lock()]
+    if write == "atomic":
+        return [ctx.Lock() for _ in range(max(1, -(-n // stripe)))]
+    return []
 
 
 def _drain_rings(sv: SharedVectors, tracer: "Tracer", cursors: List[int]) -> None:
@@ -809,12 +598,8 @@ def run_procs(
         sequential engine (same ``alpha``/``seed`` semantics as
         ``run_async_engine``) over the shipped operands and writes the
         result back through shared memory — bit-identical to the engine
-        backend by construction.  Requires ``workers=1``, a single RHS,
-        and no faults/guard.
-    ``b``
-        Accepts a single RHS ``(n,)`` or a multi-RHS block ``(n, k)``;
-        workers then use the blocked kernels and the write policies run
-        over the flattened ``n*k`` vector (stripes span columns).
+        backend by construction.  Requires ``workers=1`` and no
+        faults/guard.
 
     Crash faults are *real* process deaths (``os._exit``), detected by
     the supervisor via exit codes and restarted — whole process, all
@@ -823,58 +608,45 @@ def run_procs(
     """
     check_choice("rescomp", rescomp, RESCOMP)
     check_choice("criterion", criterion, CRITERIA)
-    check_choice("write", write, _WRITES)
+    check_choice("write", write, WRITES)
 
     n = solver.n
     ngrids = solver.ngrids
     A = solver.A
-    b_in = np.asarray(b, dtype=np.float64)
-    if b_in.ndim == 1:
-        k = 1
-        B2 = b_in.reshape(n, 1)
-    elif b_in.ndim == 2:
-        k = int(b_in.shape[1])
-        B2 = b_in
-    else:
-        raise ValueError("b must be (n,) or (n, k)")
-    if B2.shape[0] != n:
-        raise ValueError(f"b has {B2.shape[0]} rows, solver expects {n}")
-    m = n * k
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (n,):
+        raise ValueError(f"b must have shape ({n},), got {b.shape}")
 
     if workers is None:
         workers = min(ngrids, os.cpu_count() or 1)
     workers = max(1, min(int(workers), ngrids))
     if deterministic:
-        if workers != 1 or k != 1:
-            raise ValueError("deterministic mode needs workers=1 and a single RHS")
+        if workers != 1:
+            raise ValueError("deterministic mode needs workers=1")
         if faults is not None or guard is not None or rescomp == "global":
             raise ValueError(
                 "deterministic mode is fault-free and engine-compatible "
                 "(rescomp local/rupdate, no faults, no guard)"
             )
 
-    if x0 is None:
-        X0 = np.zeros((n, k))
-    else:
-        X0 = np.array(x0, dtype=np.float64).reshape(n, k)
-    nb = two_norm(B2.reshape(-1)) or 1.0
+    x_start = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64).reshape(n)
+    nb = two_norm(b) or 1.0
     ctx = RunContext("procs", ngrids, nb, faults, guard, tracer, live)
     tracer = ctx.tracer
 
     bundle = SetupBundle.from_solver(solver)
     mpctx = mp.get_context("spawn")
-    nstripes = max(1, -(-m // stripe)) if write == "atomic" else 1
-    layout = _Layout(n=n, k=k, ngrids=ngrids, nworkers=workers, nstripes=nstripes)
+    layout = _Layout(n=n, ngrids=ngrids, nworkers=workers)
     sv = SharedVectors.create(layout)
     sup: Optional[Supervisor] = None
     try:
-        sv.x[...] = X0
-        sv.b[...] = B2
-        sv.r[...] = B2 - A @ X0
-        locks_x = _make_locks(write, nstripes, mpctx)
-        locks_r = _make_locks(write, nstripes, mpctx)
-        xpol = make_proc_write_policy(write, m, stripe, locks_x, sv.seq_x)
-        rpol = make_proc_write_policy(write, m, stripe, locks_r, sv.seq_r)
+        sv.x[...] = x_start
+        sv.b[...] = b
+        sv.r[...] = b - A @ x_start
+        locks_x = _make_locks(write, n, stripe, mpctx)
+        locks_r = _make_locks(write, n, stripe, mpctx)
+        xpol = make_write_policy(write, n, stripe, locks_x)
+        rpol = make_write_policy(write, n, stripe, locks_r)
         crit = Criterion(criterion, tmax, sv.counts, sv.flags[_FLAG_DONE : _FLAG_DONE + 1])
 
         def stop() -> None:
@@ -886,8 +658,8 @@ def run_procs(
             crit,
             owned,
             A,
-            b_in,
-            (sv.x_flat, sv.r_flat, xpol, rpol),
+            b,
+            (sv.x, sv.r, xpol, rpol),
             clock=_time.monotonic,
             poll_s=0.005,
             timeout=timeout,
@@ -954,7 +726,7 @@ def run_procs(
                     ctx.telemetry.bump(counter, int(v))
 
         return sup.result(
-            np.array(sv.x_flat, copy=True),
+            np.array(sv.x, copy=True),
             np.array(sv.counts, copy=True),
             divergence_threshold,
             errors,

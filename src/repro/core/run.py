@@ -9,7 +9,8 @@ takes the rest from here: :class:`RunContext` (faults, guard,
 telemetry, tracing, live session, kernel stats, correction screening,
 the :class:`RunResult`), :class:`Criterion`, :func:`exploded` and
 :func:`final_verdict`, and for the threaded and procs workers the
-:class:`GridStep` commit and the :class:`Supervisor`.
+:func:`correction_loop`, the :class:`GridStep` commit and the
+:class:`Supervisor`.
 
 :mod:`repro.observe` is imported only inside functions: importing an
 executor must not load the observability layer (procs workers import
@@ -43,9 +44,9 @@ __all__ = [
     "RunResult",
     "Supervisor",
     "check_choice",
+    "correction_loop",
     "exploded",
     "final_verdict",
-    "residual",
     "row_blocks",
     "screen_correction",
     "start_residual",
@@ -200,14 +201,6 @@ def start_residual(A: Any, b: np.ndarray, x0: Optional[np.ndarray]) -> np.ndarra
     if x0 is None:
         return b.copy()
     return b - A @ np.asarray(x0, dtype=np.float64)
-
-
-def residual(A: Any, b: np.ndarray, x: np.ndarray, lo: int, hi: int, out: Any = None) -> Any:
-    """``(b - A x)[lo:hi]`` against one RHS ``b`` ``(n,)`` or a block
-    ``(n, k)``, ``x`` flat."""
-    if b.ndim == 1:
-        return kernels.range_residual(A, x, b, lo, hi, out=out)
-    return kernels.range_residual_block(A, x.reshape(b.shape), b, lo, hi, out=out)
 
 
 def screen_correction(
@@ -424,16 +417,16 @@ class RunContext:
 
 class GridStep:
     """The commit half of one grid's correction step in a concurrent
-    worker (threaded, procs), for one RHS ``b`` ``(n,)`` or a block
-    ``(n, k)`` over flat shared vectors ``shared = (x, r, xpol, rpol)``.
+    worker (threaded, procs) over the shared vectors
+    ``shared = (x, r, xpol, rpol)``.
 
     :meth:`commit` adds the screened correction to the shared iterate
-    through its write policy and returns the grid's next residual,
-    shaped like ``b``: recomputed from the shared iterate (local-res),
-    refreshed on the grid's owned ``rows`` of the shared residual and
-    read back (global-res, the no-wait parfor), or updated by ``-A e``
-    (rupdate).  Buffers are allocated once per grid, never per
-    correction, and belong to the calling worker alone.
+    through its write policy and returns the grid's next residual:
+    recomputed from the shared iterate (local-res), refreshed on the
+    grid's owned ``rows`` of the shared residual and read back
+    (global-res, the no-wait parfor), or updated by ``-A e`` (rupdate).
+    Buffers are allocated once per grid, never per correction, and
+    belong to the calling worker alone.
     """
 
     def __init__(
@@ -450,33 +443,102 @@ class GridStep:
         self.rows = rows
         self.x, self.r, self.xpol, self.rpol = shared
         self.n = int(A.shape[0])
-        self.k = 1 if b.ndim == 1 else int(b.shape[1])
         lo, hi = rows
-        self.out = np.empty(b.shape)
-        self.de = np.empty(b.size) if rescomp == "rupdate" else None
-        self.fresh = (
-            np.empty((hi - lo,) + b.shape[1:]) if rescomp == "global" and hi > lo else None
-        )
+        self.out = np.empty(self.n)
+        self.de = np.empty(self.n) if rescomp == "rupdate" else None
+        self.fresh = np.empty(hi - lo) if rescomp == "global" and hi > lo else None
 
     def commit(self, e: np.ndarray) -> np.ndarray:
-        n, k = self.n, self.k
+        n = self.n
         self.xpol.add(self.x, e)
         if self.de is not None:  # rupdate
-            if k == 1:
-                kernels.range_matvec(self.A, e, 0, n, out=self.de)
-            else:
-                kernels.range_matvec_block(self.A, e.reshape(n, k), 0, n, out=self.de.reshape(n, k))
+            kernels.range_matvec(self.A, e, 0, n, out=self.de)
             np.negative(self.de, out=self.de)
             self.rpol.add(self.r, self.de)
-            return self.rpol.read(self.r).reshape(self.b.shape)
+            return self.rpol.read(self.r)
         x_loc = self.xpol.read(self.x)
         if self.rescomp == "local":
-            return residual(self.A, self.b, x_loc, 0, n, self.out)
+            return kernels.range_residual(self.A, x_loc, self.b, 0, n, out=self.out)
         if self.fresh is not None:
             lo, hi = self.rows
-            residual(self.A, self.b, x_loc, lo, hi, self.fresh)
-            self.rpol.assign_slice(self.r, lo * k, hi * k, self.fresh.reshape(-1))
-        return self.rpol.read(self.r).reshape(self.b.shape)
+            kernels.range_residual(self.A, x_loc, self.b, lo, hi, out=self.fresh)
+            self.rpol.assign_slice(self.r, lo, hi, self.fresh)
+        return self.rpol.read(self.r)
+
+
+def correction_loop(
+    ctx: RunContext,
+    crit: Criterion,
+    correction: Callable[[int, np.ndarray], np.ndarray],
+    steps: Dict[int, GridStep],
+    r_local: Dict[int, np.ndarray],
+    telemetry: Any,
+    *,
+    heartbeats: np.ndarray,
+    slot: int,
+    clock: Callable[[], float],
+    deadline: float,
+    stopped: Callable[[], bool],
+    stop: Callable[[], None],
+    nb: float,
+    threshold: float,
+    trace: Optional[Callable[..., None]] = None,
+    staleness: Optional[Callable[[], float]] = None,
+) -> bool:
+    """One concurrent worker's Algorithm-5 loop, threads and processes
+    alike: round-robin over the worker's grids (the keys of ``steps``)
+    until each meets the criterion or the run stops.
+
+    Per correction: stamp ``heartbeats[slot]`` on ``clock``, serve the
+    due fault (a stall sleeps, capped at ``deadline``), compute
+    ``correction(g, r_local[g])``, screen it, commit it through
+    ``steps[g]`` (which yields the grid's next replica residual), count
+    it, and stop the run through ``stop`` when that residual exploded.
+    ``telemetry`` is the worker's single-writer counter shard.
+    ``trace`` is the worker's event sink, called like
+    :meth:`~repro.observe.Tracer.record_here`; ``correct_end`` carries
+    ``staleness()``, or -1 (unknown) when the backend has no read
+    epochs.  Returns True when an injected crash ended the worker,
+    which the backend then makes a real fail-stop death.
+    """
+    pending = list(steps)
+    while pending:
+        for g in list(pending):
+            if stopped():
+                return False
+            if crit.grid_done(g):
+                pending.remove(g)
+                continue
+            heartbeats[slot] = clock()
+            fault = ctx.fault_due(g, crit.counts, telemetry)
+            if fault is not None:
+                fkind, dur = fault
+                if trace is not None:
+                    trace("fault", a=dur, tag=fkind, grid=g)
+                if fkind == "crash":
+                    return True
+                _time.sleep(min(dur, max(0.0, deadline - clock())))
+            if trace is not None:
+                trace("correct_begin", a=float(crit.counts[g]) + 1.0, grid=g)
+            e = correction(g, r_local[g])
+            if ctx.screens:
+                e = ctx.screen(e, telemetry)
+            r_local[g] = steps[g].commit(e)
+            crit.record(g)
+            heartbeats[slot] = clock()
+            if trace is not None:
+                trace(
+                    "correct_end",
+                    a=float(crit.counts[g]),
+                    b=staleness() if staleness is not None else -1.0,
+                    grid=g,
+                )
+                trace("residual", a=float(two_norm(r_local[g]) / nb), tag="local", grid=g)
+            # Divergence guard on the *local* view — no extra sync.
+            if exploded(r_local[g], threshold, nb):
+                stop()
+                return False
+    return False
 
 
 class Supervisor:
@@ -525,7 +587,7 @@ class Supervisor:
         self.units = [tuple(u) for u in units]
         self.A = A
         self.b = b
-        self.nb = two_norm(b.reshape(-1)) or 1.0
+        self.nb = two_norm(b) or 1.0
         self.shared = shared
         self.clock = clock
         self.poll_s = poll_s
@@ -545,11 +607,8 @@ class Supervisor:
         self._monitor: Optional[threading.Thread] = None
 
     def rel(self, x: np.ndarray) -> float:
-        """Relative residual of the flat iterate ``x``."""
-        if self.b.ndim == 1:
-            return float(kernels.residual_norm(self.A, x, self.b) / self.nb)
-        rb = residual(self.A, self.b, x, 0, self.b.shape[0])
-        return float(two_norm(rb.reshape(-1)) / self.nb)
+        """Relative residual of the iterate ``x``."""
+        return float(kernels.residual_norm(self.A, x, self.b) / self.nb)
 
     def _sample(self) -> None:
         now = self.clock() - self.t0
@@ -579,10 +638,10 @@ class Supervisor:
         x_restore = self.ctx.checkpoint(x_snap, self.rel(x_snap), -1, t, "supervisor")
         if x_restore is not None:
             n = self.b.shape[0]
-            out = kernels.scratch(n, slot=5) if self.b.ndim == 1 else None
-            r_new = residual(self.A, self.b, x_restore, 0, n, out)
-            xpol.assign_slice(x, 0, x.size, x_restore)
-            rpol.assign_slice(r, 0, r.size, r_new.reshape(-1))
+            out = kernels.scratch(n, slot=5)
+            r_new = kernels.range_residual(self.A, x_restore, self.b, 0, n, out=out)
+            xpol.assign_slice(x, 0, n, x_restore)
+            rpol.assign_slice(r, 0, n, r_new)
 
     def run(
         self,
@@ -676,10 +735,10 @@ class Supervisor:
     def result(
         self, x: np.ndarray, counts: np.ndarray, threshold: float, errors: List[str], **fields: Any
     ) -> RunResult:
-        """The run's :class:`RunResult` from its final flat iterate ``x``
-        (returned shaped like ``b``).  In the :func:`final_verdict`, a
-        stop that no worker error, timeout, dead worker or alert
-        explains came from a worker's divergence check."""
+        """The run's :class:`RunResult` from its final iterate ``x``.
+        In the :func:`final_verdict`, a stop that no worker error,
+        timeout, dead worker or alert explains came from a worker's
+        divergence check."""
         rel = self.rel(x)
         alert = self.ctx.alert_stopped
         diverged = self.stopped() and not (self.timed_out or self.stalled or alert or errors)
@@ -688,7 +747,7 @@ class Supervisor:
             rel, threshold, diverged, self.stalled, self.crit.all_done(), suspect
         )
         return self.ctx.result(
-            x.reshape(self.b.shape),
+            x,
             rel,
             counts,
             t_end=self.wall,

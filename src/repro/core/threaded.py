@@ -3,9 +3,9 @@
 One Python thread per grid runs the Algorithm-5 loop against shared
 NumPy arrays, with race handling delegated to the
 :mod:`repro.core.writes` policies; the run's wiring, stopping
-criterion and supervisor come from :mod:`repro.core.run`.  Under
-CPython's GIL the threads interleave rather than truly overlap, so
-wall-clock speedups are *not*
+criterion, correction loop and supervisor come from
+:mod:`repro.core.run`.  Under CPython's GIL the threads interleave
+rather than truly overlap, so wall-clock speedups are *not*
 meaningful here (the performance model covers that); what this executor
 delivers is genuine nondeterministic asynchrony — real stale reads,
 real partially-committed atomic writes, real Criterion-1/2 behaviour —
@@ -40,11 +40,11 @@ from .run import (
     RunResult,
     Supervisor,
     check_choice,
-    exploded,
+    correction_loop,
     row_blocks,
     start_residual,
 )
-from .writes import WritePolicy, make_write_policy
+from .writes import WRITES, WritePolicy, make_write_policy
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.observe
     from ..observe.live import LiveConfig
@@ -116,6 +116,7 @@ def run_threaded(
     (never ``diverged`` unless the residual actually blew up).
     """
     check_choice("rescomp", rescomp, RESCOMP)
+    check_choice("write", write, WRITES)
     n = solver.n
     ngrids = solver.ngrids
     A = solver.A
@@ -127,8 +128,8 @@ def run_threaded(
     r = b - A @ x
     r_start = start_residual(A, b, x0)
 
-    xpol = make_write_policy(write, n, **({"stripe": stripe} if write == "atomic" else {}))
-    rpol = make_write_policy(write, n, **({"stripe": stripe} if write == "atomic" else {}))
+    xpol = make_write_policy(write, n, stripe)
+    rpol = make_write_policy(write, n, stripe)
     if policy_wrapper is not None:
         xpol = policy_wrapper(xpol)
         rpol = policy_wrapper(rpol)
@@ -167,42 +168,20 @@ def run_threaded(
     def worker(k: int, resync: bool) -> None:
         if tracer is not None:
             tracer.register_worker(k)
-        shard = shards[k]
         # A restarted worker re-syncs from the shared iterate instead
         # of assuming the initial residual (its replica is gone).
         r_local = (b - A @ xpol.read(x)) if resync else r_start.copy()
         step = GridStep(rescomp, A, b, rows[k], (x, r, xpol, rpol))
         try:
-            while not crit.grid_done(k) and not stop_event.is_set():
-                sup.heartbeats[k] = _time.perf_counter()
-                fault = ctx.fault_due(k, crit.counts, shard)
-                if fault is not None:
-                    fkind, dur = fault
-                    if tracer is not None:
-                        tracer.record_here("fault", a=dur, tag=fkind)
-                    if fkind == "crash":
-                        return  # fail-stop: the thread just dies
-                    _time.sleep(min(dur, max(0.0, sup.deadline - _time.perf_counter())))
-                if tracer is not None:
-                    tracer.record_here("correct_begin", a=float(crit.counts[k]) + 1.0)
-                e = solver.correction(k, r_local)
-                if ctx.screens:
-                    e = ctx.screen(e, shard)
-                r_local = step.commit(e)
-                crit.record(k)
-                sup.heartbeats[k] = _time.perf_counter()
-                if tracer is not None:
-                    tracer.record_here(
-                        "correct_end",
-                        a=float(crit.counts[k]),
-                        b=traced_x.last_staleness() if traced_x is not None else -1.0,
-                    )
-                    tracer.record_here(
-                        "residual", a=float(two_norm(r_local) / nb), tag="local"
-                    )
-                # Divergence guard on the *local* view — no extra sync.
-                if exploded(r_local, divergence_threshold, nb):
-                    stop_event.set()
+            # An injected crash just returns: the thread dies fail-stop.
+            correction_loop(
+                ctx, crit, solver.correction, {k: step}, {k: r_local}, shards[k],
+                heartbeats=sup.heartbeats, slot=k, clock=_time.perf_counter,
+                deadline=sup.deadline, stopped=stop_event.is_set, stop=stop_event.set,
+                nb=nb, threshold=divergence_threshold,
+                trace=tracer.record_here if tracer is not None else None,
+                staleness=traced_x.last_staleness if traced_x is not None else None,
+            )
         except WORKER_ERRORS:
             # Record the full traceback, not just str(exc): a worker
             # dies on another thread's stack, so this is the only

@@ -17,23 +17,31 @@ The paper studies two remedies:
 - :class:`UnsafeWrite` — no protection at all (NumPy ``+=`` from
   threads can lose updates); kept for the ablation that shows why the
   paper needs the other two.
+
+The modes are defined by what a reader may observe, not by who the
+workers are: a policy takes its lock objects, fresh ``threading``
+locks by default, so the procs executor runs the same policies over
+``multiprocessing`` locks on shared memory.
 """
 
 from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from typing import Any, Iterator, Tuple
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
+    "WRITES",
     "WritePolicy",
     "LockWrite",
     "AtomicWrite",
     "UnsafeWrite",
     "make_write_policy",
 ]
+
+WRITES = ("lock", "atomic", "unsafe")
 
 
 class WritePolicy(ABC):
@@ -62,9 +70,9 @@ class LockWrite(WritePolicy):
 
     name = "lock"
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, lock: Any = None) -> None:
         super().__init__(n)
-        self._lock = threading.Lock()
+        self._lock = threading.Lock() if lock is None else lock
 
     def add(self, target: np.ndarray, update: np.ndarray) -> None:
         with self._lock:
@@ -80,17 +88,26 @@ class LockWrite(WritePolicy):
 
 
 class AtomicWrite(WritePolicy):
-    """Striped locks emulating element-granular atomic adds."""
+    """Striped locks emulating element-granular atomic adds.
+
+    Reads take each stripe's lock too, so a reader sees whole stripes,
+    possibly from different commits; the lock is a full barrier, which
+    is what makes this hold across processes on any platform.
+    """
 
     name = "atomic"
 
-    def __init__(self, n: int, stripe: int = 1024) -> None:
+    def __init__(self, n: int, stripe: int = 1024, locks: Optional[Sequence[Any]] = None) -> None:
         super().__init__(n)
         if stripe < 1:
             raise ValueError("stripe must be >= 1")
         self.stripe = int(stripe)
         self.nstripes = max(1, -(-n // self.stripe))
-        self._locks = [threading.Lock() for _ in range(self.nstripes)]
+        if locks is None:
+            locks = [threading.Lock() for _ in range(self.nstripes)]
+        if len(locks) != self.nstripes:
+            raise ValueError(f"need {self.nstripes} stripe locks, got {len(locks)}")
+        self._locks = list(locks)
 
     def _ranges(self, lo: int = 0, hi: int | None = None) -> Iterator[Tuple[int, int, int]]:
         hi = self.n if hi is None else hi
@@ -134,11 +151,22 @@ class UnsafeWrite(WritePolicy):
         return source.copy()
 
 
-_POLICIES = {"lock": LockWrite, "atomic": AtomicWrite, "unsafe": UnsafeWrite}
+def make_write_policy(
+    name: str, n: int, stripe: int = 1024, locks: Optional[Sequence[Any]] = None
+) -> WritePolicy:
+    """Build a write policy by name (one of :data:`WRITES`).
 
-
-def make_write_policy(name: str, n: int, **kwargs: Any) -> WritePolicy:
-    """Build a write policy by name (``"lock"``, ``"atomic"``, ``"unsafe"``)."""
-    if name not in _POLICIES:
-        raise KeyError(f"unknown write policy {name!r}; known: {sorted(_POLICIES)}")
-    return _POLICIES[name](n, **kwargs)
+    ``locks`` are the policy's lock objects: one for ``lock``, one per
+    ``stripe``-sized stripe for ``atomic``, none for ``unsafe``; None
+    creates fresh ``threading`` locks.
+    """
+    if name not in WRITES:
+        raise KeyError(f"unknown write policy {name!r}; known: {sorted(WRITES)}")
+    if name == "atomic":
+        return AtomicWrite(n, stripe, locks)
+    need = int(name == "lock")
+    if locks is not None and len(locks) != need:
+        raise ValueError(f"a {name!r} policy takes {need} lock(s), got {len(locks)}")
+    if name == "lock":
+        return LockWrite(n, locks[0] if locks else None)
+    return UnsafeWrite(n)

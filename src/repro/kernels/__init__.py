@@ -98,8 +98,8 @@ KERNEL_NAMES: Tuple[str, ...] = (
 )
 
 #: The blocked multi-RHS kernels over ``(n, k)`` right-hand-side
-#: blocks (the solver-as-a-service prerequisite; the procs backend
-#: uses them when a worker owns several RHS columns).
+#: blocks (the solver-as-a-service prerequisite; the server's batch
+#: solves compute their block residuals with them).
 BLOCK_KERNEL_NAMES: Tuple[str, ...] = (
     "range_matvec_block",
     "range_residual_block",

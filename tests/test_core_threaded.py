@@ -63,6 +63,10 @@ class TestThreaded:
         with pytest.raises(ValueError):
             run_threaded(multadd, b_7pt, rescomp="telepathic")
 
+    def test_invalid_write(self, multadd, b_7pt):
+        with pytest.raises(ValueError):
+            run_threaded(multadd, b_7pt, write="transactional")
+
     def test_async_gs_smoother_threaded(self, hier_7pt_agg, b_7pt):
         # The paper's best configuration: async multigrid + async
         # smoothing, with real threads.

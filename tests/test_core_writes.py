@@ -169,6 +169,15 @@ class TestRegistry:
         with pytest.raises(KeyError):
             make_write_policy("transactional", 10)
 
+    @pytest.mark.parametrize(
+        "name, nlocks", [("lock", 0), ("lock", 2), ("atomic", 2), ("atomic", 4), ("unsafe", 1)]
+    )
+    def test_wrong_lock_count(self, name, nlocks):
+        # 10 entries in stripes of 4: atomic takes 3 locks, lock 1, unsafe none.
+        locks = [threading.Lock() for _ in range(nlocks)]
+        with pytest.raises(ValueError):
+            make_write_policy(name, 10, 4, locks)
+
     def test_names(self):
         assert LockWrite(4).name == "lock"
         assert AtomicWrite(4).name == "atomic"

@@ -148,7 +148,8 @@ class TestBackendParity:
 class TestBlockedKernels:
     """Multi-RHS kernels: column j of the (n, k) block result must be
     bit-identical to the single-RHS kernel on column j — the contract
-    the procs executor's multi-RHS path is built on."""
+    the server's blocked batch solves (``repro.serve.batch``) are
+    built on."""
 
     def _block(self, problem, k=3, seed=5):
         rng = np.random.default_rng(seed)

@@ -5,9 +5,10 @@ Covers the backend's four contracts:
 - **transport fidelity** — a 1-worker deterministic run is bit-identical
   to the sequential engine (same schedule, shared-memory round trip),
   and :class:`SetupBundle` survives pickling without changing results.
-- **seqlock safety** — ``ProcAtomicWrite`` readers never observe a torn
-  stripe, retry while a writer is mid-publication, and fall back to the
-  stripe lock after ``max_retries``.
+- **cross-process write policies** — the :mod:`repro.core.writes`
+  policies over ``multiprocessing`` locks: while another process
+  rewrites a shared vector, ``lock`` reads are whole vectors and
+  ``atomic`` reads are whole stripes.
 - **fault tolerance** — a real process death (``os._exit``) is detected
   by the supervisor, restarted through the guard budget with replica
   re-sync, and lands in the merged telemetry; without a guard the run
@@ -17,15 +18,17 @@ Covers the backend's four contracts:
 """
 
 import glob
+import multiprocessing as mp
 import pickle
-import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.core import run_async_engine, run_procs, SetupBundle, SharedVectors
-from repro.core.parallel import ProcAtomicWrite, _Layout, _assign_grids
+from repro.core.parallel import _Layout, _assign_grids, _make_locks
+from repro.core.writes import make_write_policy
 from repro.resilience import GuardPolicy, parse_fault_spec
 from repro.solvers import Multadd
 
@@ -97,16 +100,13 @@ class TestProcs:
         if rescomp != "global":
             assert res.rel_residual < 1.0
 
-    def test_multi_rhs_block(self, multadd, A_7pt, b_7pt):
-        B = np.stack([b_7pt, -2.0 * b_7pt], axis=1)
-        res = run_procs(multadd, B, tmax=8, workers=2, criterion="criterion1")
-        assert not res.errors
-        assert res.x.shape == B.shape
-        assert res.rel_residual < 1.0
-
     def test_invalid_rescomp(self, multadd, b_7pt):
         with pytest.raises(ValueError):
             run_procs(multadd, b_7pt, rescomp="telepathic")
+
+    def test_one_rhs_only(self, multadd, b_7pt):
+        with pytest.raises(ValueError):
+            run_procs(multadd, np.stack([b_7pt, b_7pt], axis=1), tmax=4)
 
     def test_tracer_attributes_events_to_pids(self, multadd, b_7pt):
         from repro.observe import Tracer
@@ -122,6 +122,23 @@ class TestProcs:
         assert workers >= {"p0", "p1"}
         pids = {e.worker_pid for e in events if str(e.worker).startswith("p")}
         assert pids and all(pid > 0 for pid in pids)
+
+    def test_trace_reports_staleness_unknown(self, multadd, b_7pt):
+        """Procs has no read epochs, so ``correct_end`` carries the event
+        vocabulary's -1 (unknown), never a measured staleness of 0."""
+        from repro.observe import TraceAnalyzer, Tracer
+
+        tracer = Tracer(clock="s")
+        res = run_procs(
+            multadd, b_7pt, tmax=6, workers=2, criterion="criterion1",
+            tracer=tracer,
+        )
+        assert not res.errors
+        events = tracer.events()
+        ends = [e for e in events if e.kind == "correct_end"]
+        assert len(ends) == int(res.counts.sum())
+        assert all(e.b == -1.0 for e in ends)
+        assert TraceAnalyzer(events).conformance().staleness_samples == 0
 
 
 class TestCrashRestart:
@@ -152,77 +169,106 @@ class TestCrashRestart:
         assert res.telemetry.restarts == 0
 
 
-class TestSeqlock:
-    def _policy(self, n=256, stripe=64, max_retries=64):
-        nstripes = -(-n // stripe)
-        locks = [threading.Lock() for _ in range(nstripes)]
-        seq = np.zeros(nstripes, dtype=np.int64)
-        return ProcAtomicWrite(n, stripe, locks, seq, max_retries=max_retries)
+def _rewrite(name, layout, write, stripe, locks, values):
+    """Writer process: rewrite ``x`` with the next uniform value from
+    ``values`` through the write policy until the parent raises
+    ``flags[0]``, publishing its write count in ``counts[0]``."""
+    sv = SharedVectors.attach(name, layout)
+    try:
+        pol = make_write_policy(write, layout.n, stripe, locks)
+        i = 0
+        while not sv.flags[0]:
+            pol.assign_slice(sv.x, 0, layout.n, np.full(layout.n, values[i % len(values)]))
+            i += 1
+            sv.counts[0] = i
+    finally:
+        sv.close()
 
-    def test_ops_leave_seq_even(self):
-        pol = self._policy()
-        v = np.zeros(256)
-        pol.add(v, np.ones(256))
-        pol.assign_slice(v, 10, 130, np.full(120, 7.0))
-        assert np.all(pol._seq % 2 == 0)
-        assert v[0] == 1.0 and v[10] == 7.0 and v[129] == 7.0 and v[130] == 1.0
 
-    def test_reader_retries_then_falls_back_on_stuck_odd_seq(self):
-        """A seq word stuck odd (writer died mid-publication) must not
-        spin forever: the reader burns max_retries then takes the lock."""
-        pol = self._policy(n=8, stripe=8, max_retries=3)
-        v = np.arange(8.0)
-        pol._seq[0] = 1
-        out = pol.read(v)
-        assert np.array_equal(out, v)
-        assert pol.read_retries == 3
-        assert pol.lock_fallbacks == 1
+def _reads_while_rewritten(write, n, stripe, values, nreads=300):
+    """``nreads`` reads of ``x`` through the ``write`` policy while a
+    spawned process rewrites it through the same policy.
+
+    Reading starts after the writer's first write and goes on past
+    ``nreads`` until the writer has written 50 more times, so the reads
+    overlap the writes whatever the scheduling."""
+    ctx = mp.get_context("spawn")
+    layout = _Layout(n=n, ngrids=1, nworkers=1, ring_capacity=1)
+    sv = SharedVectors.create(layout)
+    locks = _make_locks(write, n, stripe, ctx)
+    pol = make_write_policy(write, n, stripe, locks)
+    proc = ctx.Process(
+        target=_rewrite, args=(sv.name, layout, write, stripe, locks, values), daemon=True
+    )
+    proc.start()
+    reads = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while sv.counts[0] == 0:
+            assert proc.is_alive() and time.monotonic() < deadline, "writer never wrote"
+            time.sleep(0.001)
+        first = int(sv.counts[0])
+        while len(reads) < nreads or int(sv.counts[0]) < first + 50:
+            assert time.monotonic() < deadline, "writer stopped writing"
+            reads.append(pol.read(sv.x))
+    finally:
+        sv.flags[0] = 1
+        proc.join(timeout=10.0)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=5.0)
+        sv.close()
+        sv.unlink()
+    assert proc.exitcode == 0, "writer did not stop cleanly"
+    return reads
+
+
+def _torn_stripes(reads, stripe):
+    return sum(
+        not np.all(out[lo : lo + stripe] == out[lo])
+        for out in reads
+        for lo in range(0, out.size, stripe)
+    )
+
+
+class TestCrossProcessWrites:
+    """The write policies over ``multiprocessing`` locks, with the
+    writer in another process: what a reader may observe (Section IV)
+    holds across processes.  An ``unsafe`` policy fails these checks."""
+
+    @pytest.mark.parametrize(
+        "write, stripe",
+        [("lock", 4096), ("atomic", 1024), ("atomic", 1500)],
+        ids=["lock", "atomic", "atomic-ragged"],
+    )
+    def test_reads_are_whole(self, write, stripe):
+        """``lock`` reads are uniform vectors; ``atomic`` reads are
+        uniform stripes, possibly from different writes."""
+        reads = _reads_while_rewritten(write, 4096, stripe, np.arange(1.0, 1000.0))
+        assert _torn_stripes(reads, stripe) == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_no_torn_stripes_under_concurrent_writes(self, seed):
-        """Property: whatever the interleaving, every stripe a reader
-        returns is uniform — a single writer's whole publication."""
-        n, stripe = 256, 64
-        pol = self._policy(n=n, stripe=stripe)
-        v = np.zeros(n)
-        stop = threading.Event()
-        rng = np.random.default_rng(seed)
-        vals = rng.integers(1, 10, size=64).astype(float)
-
-        def writer():
-            i = 0
-            while not stop.is_set():
-                pol.assign_slice(v, 0, n, np.full(n, vals[i % len(vals)]))
-                i += 1
-
-        t = threading.Thread(target=writer, daemon=True)
-        t.start()
-        try:
-            for _ in range(400):
-                out = pol.read(v)
-                for lo in range(0, n, stripe):
-                    chunk = out[lo : lo + stripe]
-                    assert np.all(chunk == chunk[0]), "torn stripe observed"
-        finally:
-            stop.set()
-            t.join(timeout=5.0)
-        assert pol.read_retries >= 0 and pol.lock_fallbacks >= 0
+        """Property: whatever the interleaving, every stripe an
+        ``AtomicWrite`` over mp locks returns is uniform — a single
+        writer's whole publication."""
+        values = np.random.default_rng(seed).integers(1, 10, size=64).astype(float)
+        reads = _reads_while_rewritten("atomic", 256, 64, values, nreads=400)
+        assert _torn_stripes(reads, 64) == 0
 
 
 class TestSharedVectors:
     def _layout(self):
-        return _Layout(
-            n=32, k=1, ngrids=2, nworkers=1, nstripes=2, ring_capacity=8
-        )
+        return _Layout(n=32, ngrids=2, nworkers=1, ring_capacity=8)
 
     def test_roundtrip_and_single_unlink(self):
         layout = self._layout()
         before = _shm_segments()
         sv = SharedVectors.create(layout)
         try:
-            sv.x[:, 0] = np.arange(32.0)
+            sv.x[:] = np.arange(32.0)
             peer = SharedVectors.attach(sv.name, layout)
-            assert np.array_equal(peer.x[:, 0], np.arange(32.0))
+            assert np.array_equal(peer.x, np.arange(32.0))
             peer.close()
         finally:
             sv.close()
