@@ -27,7 +27,6 @@ Algorithms
 from __future__ import annotations
 
 import heapq
-from typing import List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,6 +48,8 @@ __all__ = [
 CPOINT: int = 1
 FPOINT: int = -1
 UNDECIDED: int = 0
+#: Marks points outside the scope of an RS first pass in its state list.
+_OUT: int = 2
 
 
 def _csr_rows(M: sp.csr_matrix, i: int) -> np.ndarray:
@@ -65,7 +66,8 @@ def rs_first_pass(
     Greedily picks the undecided point with the largest measure
     (number of undecided/F points it strongly influences) as a C-point,
     turns its undecided strong dependents into F-points, and increments
-    the measures of points those new F-points depend on.
+    the measures of points those new F-points depend on.  Ties go to
+    the smallest index.
 
     Parameters
     ----------
@@ -85,7 +87,6 @@ def rs_first_pass(
     points) may remain :data:`UNDECIDED`.
     """
     S = as_csr(S)
-    ST = as_csr(S.T)
     n = S.shape[0]
     if splitting is None:
         splitting = np.full(n, UNDECIDED, dtype=np.int8)
@@ -93,59 +94,79 @@ def rs_first_pass(
         allowed = np.ones(n, dtype=bool)
     else:
         allowed = np.asarray(allowed, dtype=bool)
+    _rs_first_pass(S, as_csr(S.T), allowed, splitting)
+    return splitting
 
-    def in_scope(j: int) -> bool:
-        return bool(allowed[j])
 
-    measure = np.zeros(n, dtype=np.int64)
-    base = strength_transpose_counts(S)
-    for i in range(n):
-        if allowed[i] and splitting[i] == UNDECIDED:
-            # count only influences on points within scope
-            infl = _csr_rows(ST, i)
-            measure[i] = int(np.count_nonzero(allowed[infl])) if infl.size else 0
+def _rs_first_pass(
+    S: sp.csr_matrix, ST: sp.csr_matrix, allowed: np.ndarray, splitting: np.ndarray
+) -> None:
+    """:func:`rs_first_pass` on ``S`` and its transpose ``ST``, in place.
+
+    The initial measures, isolated points and heap are array operations.
+    The greedy selection is sequential by definition and runs on plain
+    Python values: ``state`` holds the splitting of the points in scope
+    and :data:`_OUT` for the rest, so one test ``state[k] == UNDECIDED``
+    checks both "in scope" and "undecided"; each visited row of ``S`` or
+    ``ST`` is converted to a list when it is visited.
+
+    A pop selects the undecided point with the largest measure, smallest
+    index first: stale heap entries are skipped and every undecided
+    point has an entry with its current measure.  So the selections
+    depend only on the measures, and a point whose measure changed is
+    pushed once per new C-point, with its value after that C-point's
+    updates.
+    """
+    n = S.shape[0]
+    scope = allowed & (splitting == UNDECIDED)
     # Isolated in-scope points (no influences at all) become F directly:
     # nothing interpolates from them and nothing needs them.
-    for i in range(n):
-        if allowed[i] and splitting[i] == UNDECIDED and base[i] == 0:
-            row = _csr_rows(S, i)
-            if row.size == 0:
-                splitting[i] = FPOINT
-
-    heap: List[Tuple[int, int]] = [
-        (-int(measure[i]), i)
-        for i in range(n)
-        if allowed[i] and splitting[i] == UNDECIDED
-    ]
+    isolated = scope & (np.diff(S.indptr) == 0) & (np.diff(ST.indptr) == 0)
+    splitting[isolated] = FPOINT
+    scope &= ~isolated
+    # Measure: how many in-scope points depend on each point.
+    depends = S.indices[np.repeat(allowed, np.diff(S.indptr))]
+    measure_arr = np.bincount(depends, minlength=n)
+    cand = np.flatnonzero(scope)
+    heap = list(zip((-measure_arr[cand]).tolist(), cand.tolist()))
     heapq.heapify(heap)
+    measure = measure_arr.tolist()
+    state = np.where(scope, UNDECIDED, _OUT).tolist()
+    Sp, Si, Tp, Ti = S.indptr, S.indices, ST.indptr, ST.indices
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     while heap:
-        neg_m, i = heapq.heappop(heap)
-        if splitting[i] != UNDECIDED or -neg_m != measure[i]:
+        neg_m, i = heappop(heap)
+        if neg_m >= 0:
+            # Every measure left is <= 0: no undecided in-scope point
+            # depends on any point left, so none is useful as a C-point.
+            # In block (HMIS) mode they stay for the PMIS cleanup (their
+            # strong connections may cross the block boundary); in
+            # full-domain mode they become F.
+            break
+        if state[i] != UNDECIDED or -neg_m != measure[i]:
             continue  # stale heap entry
-        if measure[i] <= 0:
-            # No undecided in-scope point depends on i: useless as a
-            # C-point.  In block (HMIS) mode leave it for the PMIS
-            # cleanup — its strong connections may cross the block
-            # boundary; in full-domain mode it is a plain F-point.
-            continue
-        splitting[i] = CPOINT
+        state[i] = CPOINT
+        changed = set()
         # Strong dependents of the new C-point become F.
-        for j in _csr_rows(ST, i):
-            if in_scope(j) and splitting[j] == UNDECIDED:
-                splitting[j] = FPOINT
+        for j in Ti[Tp[i] : Tp[i + 1]].tolist():
+            if state[j] == UNDECIDED:
+                state[j] = FPOINT
                 # Each point the new F-point depends on becomes more
                 # attractive as a C-point.
-                for k in _csr_rows(S, j):
-                    if in_scope(k) and splitting[k] == UNDECIDED:
+                for k in Si[Sp[j] : Sp[j + 1]].tolist():
+                    if state[k] == UNDECIDED:
                         measure[k] += 1
-                        heapq.heappush(heap, (-int(measure[k]), k))
+                        changed.add(k)
         # The points i depends on lose one potential dependent.
-        for k in _csr_rows(S, i):
-            if in_scope(k) and splitting[k] == UNDECIDED:
+        for k in Si[Sp[i] : Sp[i + 1]].tolist():
+            if state[k] == UNDECIDED:
                 measure[k] -= 1
-                heapq.heappush(heap, (-int(measure[k]), k))
-    return splitting
+                changed.add(k)
+        for k in changed:
+            if state[k] == UNDECIDED:
+                heappush(heap, (-measure[k], k))
+    splitting[scope] = np.array(state, dtype=np.int8)[scope]
 
 
 def _second_pass(S: sp.csr_matrix, splitting: np.ndarray) -> np.ndarray:
@@ -266,6 +287,7 @@ def hmis_coarsening(
     (in particular points whose neighbourhood straddles blocks).
     """
     S = as_csr(S)
+    ST = as_csr(S.T)
     n = S.shape[0]
     # Keep blocks large enough that the interior RS pass is meaningful;
     # tiny blocks would push everything to the PMIS stage anyway.
@@ -278,7 +300,8 @@ def hmis_coarsening(
             continue
         allowed = np.zeros(n, dtype=bool)
         allowed[lo:hi] = True
-        rs_first_pass(S, allowed=allowed, splitting=splitting)
+        _rs_first_pass(S, ST, allowed, splitting)
+    del ST  # PMIS transposes S itself; do not hold two copies
     # Interior F decisions from the block pass stand; PMIS resolves the
     # rest.  F-points adjacent to nothing strong stay F.
     return pmis_coarsening(S, seed=seed, splitting=splitting)

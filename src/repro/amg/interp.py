@@ -3,8 +3,8 @@
 Three interpolation schemes cover what the paper's BoomerAMG
 configurations use:
 
-- :func:`direct_interpolation` — the simple one-point-distance formula;
-  the building block of multipass.
+- :func:`direct_interpolation` — the simple one-point-distance formula,
+  with positive and negative couplings scaled separately.
 - :func:`classical_interpolation` — classical Ruge-Stueben
   interpolation in its *modified* form (BoomerAMG ``interp_type 0``):
   strong F-F connections are distributed through common C-points, with
@@ -12,7 +12,8 @@ configurations use:
   C-point are lumped into the diagonal instead of being dropped.
 - :func:`multipass_interpolation` — for aggressive-coarsening levels,
   where F-points can be arbitrarily far from any C-point: interpolation
-  is propagated outward from the C-points in passes.
+  is propagated outward from the C-points in passes.  Its first pass
+  uses one ratio per row, not direct interpolation's split by sign.
 
 All functions take the matrix ``A``, the strength matrix ``S`` and an
 int8 C/F splitting and return ``P`` of shape ``(n, nc)`` whose C-rows
@@ -34,6 +35,9 @@ __all__ = [
     "truncate_interpolation",
 ]
 
+#: Entries of ``A`` per row block of :func:`classical_interpolation`.
+_BLOCK_NNZ = 1 << 13
+
 
 def _coarse_map(splitting: np.ndarray) -> np.ndarray:
     """Map fine index -> coarse index for C-points (-1 for F-points)."""
@@ -50,6 +54,35 @@ def _row(M: sp.csr_matrix, i: int):
 
 def _strong_set(S: sp.csr_matrix, i: int) -> np.ndarray:
     return S.indices[S.indptr[i] : S.indptr[i + 1]]
+
+
+def _entries(M: sp.csr_matrix, lo: int, hi: int):
+    """Row, column and value of each stored entry in rows ``lo:hi`` of ``M``."""
+    a, b = M.indptr[lo], M.indptr[hi]
+    rows = np.repeat(np.arange(lo, hi), np.diff(M.indptr[lo : hi + 1]))
+    return rows, M.indices[a:b], M.data[a:b]
+
+
+def _find(keys: np.ndarray, queries: np.ndarray):
+    """Positions of ``queries`` in the sorted ``keys``, and which are there.
+
+    Keys are row-major ``i * n + j``, so a canonical CSR matrix lists
+    its own in sorted order.
+    """
+    pos = np.searchsorted(keys, queries)
+    found = pos < keys.size
+    found[found] = keys[pos[found]] == queries[found]
+    return pos, found
+
+
+def _assemble(rows, cols, vals, shape) -> sp.csr_matrix:
+    """Canonical CSR ``P`` from its nonzero triples."""
+    keep = vals != 0.0
+    P = sp.csr_matrix(
+        (vals[keep], (np.asarray(rows, dtype=np.int64)[keep], np.asarray(cols, dtype=np.int64)[keep])),
+        shape=shape,
+    )
+    return as_csr(P)
 
 
 def direct_interpolation(
@@ -124,12 +157,7 @@ def direct_interpolation(
         rows_out.extend([i] * int(keep.sum()))
         cols_out.extend(cmap[tgt].tolist())
         vals_out.extend(w[keep].tolist())
-
-    P = sp.csr_matrix(
-        (np.array(vals_out), (np.array(rows_out, dtype=np.int64), np.array(cols_out, dtype=np.int64))),
-        shape=(n, nc),
-    )
-    return as_csr(P)
+    return _assemble(rows_out, cols_out, np.array(vals_out), (n, nc))
 
 
 def classical_interpolation(
@@ -148,7 +176,17 @@ def classical_interpolation(
     diagonal ``a_mm`` (the standard sign filter), and the last sum is
     the *modification*: strong F-neighbours with no common C-point are
     lumped into the diagonal rather than dropped, which keeps row sums
-    correct for near-null-space constants.
+    correct for near-null-space constants.  When ``d_i`` cancels to
+    below ``1e-10 |a_ii|`` (mixed-sign rows, e.g. elasticity), ``a_ii``
+    replaces it: the row stays bounded at the cost of exact constants,
+    the same guard BoomerAMG applies.  F-points with an empty ``C_i``
+    get a zero row; multipass handles aggressive levels.
+
+    Rows are computed a block at a time with array operations.  Each
+    sum adds its terms in the order a loop over row ``i`` of ``A`` meets
+    them: ``d_m`` in the column order of row ``m``; ``d_i`` and the
+    numerator of ``w_ij`` in the column order of the entries ``a_ij``
+    and ``a_im`` they come from.
     """
     A = as_csr(A)
     S = as_csr(S)
@@ -156,65 +194,66 @@ def classical_interpolation(
     n = A.shape[0]
     cmap = _coarse_map(splitting)
     nc = int((splitting == CPOINT).sum())
-    diag_all = A.diagonal()
+    diag = A.diagonal()
+    is_c = splitting == CPOINT
+    is_f = splitting == FPOINT
 
-    rows_out, cols_out, vals_out = [], [], []
-    for i in range(n):
-        if splitting[i] == CPOINT:
-            rows_out.append(i)
-            cols_out.append(cmap[i])
-            vals_out.append(1.0)
-            continue
-        cols, vals = _row(A, i)
-        strong = set(int(s) for s in _strong_set(S, i))
-        c_i = [int(c) for c in _strong_set(S, i) if splitting[c] == CPOINT]
-        if not c_i:
-            continue  # zero row; multipass handles aggressive levels
-        c_set = set(c_i)
-        w_acc = {c: 0.0 for c in c_i}
-        d_i = 0.0
-        for col, a_ij in zip(cols, vals):
-            col = int(col)
-            if col == i:
-                d_i += a_ij
-            elif col in c_set:
-                w_acc[col] += a_ij
-            elif col in strong and splitting[col] == FPOINT:
-                # Distribute a_im over the common C-points of m and i.
-                mcols, mvals = _row(A, col)
-                sign = -1.0 if diag_all[col] > 0 else 1.0
-                d_m = 0.0
-                shares = []
-                for mc, a_mk in zip(mcols, mvals):
-                    mc = int(mc)
-                    if mc in c_set and a_mk * sign > 0:
-                        d_m += a_mk
-                        shares.append((mc, a_mk))
-                if d_m != 0.0:
-                    for mc, a_mk in shares:
-                        w_acc[mc] += a_ij * a_mk / d_m
-                else:
-                    d_i += a_ij  # modification: lump into diagonal
-            else:
-                d_i += a_ij  # weak connection
-        if abs(d_i) < 1e-10 * abs(diag_all[i]):
-            # Pathological cancellation (mixed-sign rows, e.g.
-            # elasticity): retreat to the unlumped diagonal, which
-            # keeps the row bounded at the cost of exact constants —
-            # the same guard BoomerAMG applies.
-            d_i = float(diag_all[i])
-        for c in c_i:
-            w = -w_acc[c] / d_i
-            if w != 0.0:
-                rows_out.append(i)
-                cols_out.append(cmap[c])
-                vals_out.append(w)
+    # A~, the sign-filtered C-part of A, as CSR arrays.
+    hat = np.where(np.repeat(diag > 0, np.diff(A.indptr)), A.data < 0, A.data > 0)
+    hat &= is_c[A.indices]
+    hat_ptr = np.concatenate(([0], np.cumsum(hat)))[A.indptr]
+    hat_cols, hat_vals = A.indices[hat], A.data[hat]
 
-    P = sp.csr_matrix(
-        (np.array(vals_out), (np.array(rows_out, dtype=np.int64), np.array(cols_out, dtype=np.int64))),
-        shape=(n, nc),
-    )
-    return as_csr(P)
+    cpts = np.flatnonzero(is_c)
+    out = [(cpts, cpts, np.ones(cpts.size))]
+    # Rows are independent; blocks of about _BLOCK_NNZ entries of A bound
+    # the temporaries, which hold a few entries per (i, m, k) triple.
+    step = max(1, _BLOCK_NNZ * n // max(A.nnz, 1))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        rows, cols, data = _entries(A, lo, hi)
+        srows, scols, _ = _entries(S, lo, hi)
+        # C_i as sorted (i, c) keys; the F-rows that have one are active.
+        sel = ~is_c[srows] & is_c[scols]
+        ci_rows, ci_cols = srows[sel], scols[sel]
+        ckeys = ci_rows * n + ci_cols
+        active = np.zeros(hi - lo, dtype=bool)
+        active[ci_rows - lo] = True
+        in_row = active[rows - lo]
+        strong = in_row & _find(srows * n + scols, rows * n + cols)[1]
+        direct = strong & is_c[cols]
+        ff = np.flatnonzero(strong & is_f[cols] & (cols != rows))
+
+        # Expand each strong F-F entry (i, m) into row m of A~ and keep
+        # the entries a~_mk with k in C_i.
+        m = cols[ff]
+        lens = hat_ptr[m + 1] - hat_ptr[m]
+        pair = np.repeat(np.arange(ff.size), lens)
+        src = np.repeat(hat_ptr[m] - (np.cumsum(lens) - lens), lens) + np.arange(pair.size)
+        target, found = _find(ckeys, rows[ff][pair] * n + hat_cols[src])
+        pair, target, a_mk = pair[found], target[found], hat_vals[src[found]]
+        d_m = np.bincount(pair, weights=a_mk, minlength=ff.size)
+
+        # d_i: the diagonal, weak entries and lumped F-neighbours (d_m == 0).
+        to_diag = in_row & ~direct
+        to_diag[ff[d_m != 0.0]] = False
+        d_i = np.bincount(rows[to_diag] - lo, weights=data[to_diag], minlength=hi - lo)
+        tiny = np.abs(d_i) < 1e-10 * np.abs(diag[lo:hi])
+        d_i[tiny] = diag[lo:hi][tiny]
+
+        # Numerators: the direct a_ij and the shares a_im * a_mk / d_m,
+        # stably sorted by the entry of A each comes from.
+        share = d_m[pair] != 0.0
+        pair, target, a_mk = pair[share], target[share], a_mk[share]
+        dpos = np.flatnonzero(direct)
+        order = np.argsort(np.concatenate((dpos, ff[pair])), kind="stable")
+        bins = np.concatenate((_find(ckeys, rows[dpos] * n + cols[dpos])[0], target))
+        terms = np.concatenate((data[dpos], data[ff[pair]] * a_mk / d_m[pair]))
+        w_acc = np.bincount(bins[order], weights=terms[order], minlength=ckeys.size)
+        out.append((ci_rows, ci_cols, -w_acc / d_i[ci_rows - lo]))
+
+    rows, cols, vals = (np.concatenate(part) for part in zip(*out))
+    return _assemble(rows, cmap[cols], vals, (n, nc))
 
 
 def multipass_interpolation(
@@ -222,16 +261,28 @@ def multipass_interpolation(
 ) -> sp.csr_matrix:
     """Multipass interpolation for aggressive coarsening.
 
-    Pass 1 applies :func:`direct_interpolation` to F-points that have a
-    strong C-neighbour.  Each later pass interpolates the remaining
-    F-points through strong neighbours interpolated in earlier passes::
+    Pass 1 interpolates each F-point ``i`` with a strong C-neighbour
+    from its strong C-set ``C_i``, with one ratio for the whole row::
+
+        w_ij = -( sum_{k != i} a_ik / sum_{k in C_i} a_ik ) * a_ij / a_ii
+
+    This is not :func:`direct_interpolation`: there is no split into
+    positive and negative couplings and no lumping.  Each later pass
+    interpolates the remaining F-points through their strong neighbours
+    ``m`` interpolated in earlier passes::
 
         row_i = -(alpha_i / a_ii) * sum_{m} a_im * row_m
 
     with ``alpha_i`` the ratio of the full off-diagonal row sum to the
-    sum over the used neighbours ``m`` (so constants are preserved).
-    Stops when every F-point is covered or no progress is possible
-    (any leftovers keep zero rows).
+    sum over the used neighbours ``m`` (so constants are preserved);
+    pass 1 is this formula with the C-points' identity rows.  A row
+    whose diagonal or used sum is zero waits for a later pass.  Stops
+    when every F-point is covered or no progress is possible (any
+    leftovers keep zero rows).
+
+    Row sums add in CSR order.  Each pass forms its rows as the sparse
+    product ``W @ P`` of its weights ``W[i, m]`` and the rows so far;
+    scipy adds each entry ``(i, c)`` in the column order of ``W``.
     """
     A = as_csr(A)
     S = as_csr(S)
@@ -239,94 +290,30 @@ def multipass_interpolation(
     n = A.shape[0]
     cmap = _coarse_map(splitting)
     nc = int((splitting == CPOINT).sum())
+    diag = A.diagonal()
+    rows, cols, data = _entries(A, 0, n)
+    srows, scols, _ = _entries(S, 0, n)
+    off = cols != rows
+    strong = off & _find(srows * n + scols, rows * n + cols)[1]
+    sum_all = np.bincount(rows[off], weights=data[off], minlength=n)
 
-    # Dense-ish dict-of-rows accumulator keyed by fine row.
-    P_rows: dict[int, dict[int, float]] = {}
-    done = np.zeros(n, dtype=bool)
-    for i in np.flatnonzero(splitting == CPOINT):
-        P_rows[int(i)] = {int(cmap[i]): 1.0}
-        done[i] = True
-
-    # Pass 1: direct interpolation where possible.
-    for i in range(n):
-        if done[i]:
-            continue
-        strong = _strong_set(S, i)
-        strong_c = strong[splitting[strong] == CPOINT]
-        if strong_c.size == 0:
-            continue
-        cols, vals = _row(A, i)
-        diag = float(A[i, i])
-        sc_set = set(int(c) for c in strong_c)
-        num = {}
-        sum_all = 0.0
-        sum_c = 0.0
-        for col, a in zip(cols, vals):
-            col = int(col)
-            if col == i:
-                continue
-            sum_all += a
-            if col in sc_set:
-                sum_c += a
-                num[col] = num.get(col, 0.0) + a
-        if sum_c == 0.0 or diag == 0.0:
-            continue
-        alpha = sum_all / sum_c
-        P_rows[i] = {
-            int(cmap[c]): -alpha * a / diag for c, a in num.items() if a != 0.0
-        }
-        done[i] = True
-
-    # Later passes: propagate through interpolated strong neighbours.
-    progress = True
-    while progress and not done.all():
-        progress = False
-        newly = []
-        for i in np.flatnonzero(~done):
-            strong = _strong_set(S, i)
-            used = [int(m) for m in strong if done[m]]
-            if not used:
-                continue
-            cols, vals = _row(A, i)
-            diag = 0.0
-            sum_all = 0.0
-            sum_used = 0.0
-            coeff = {}
-            used_set = set(used)
-            for col, a in zip(cols, vals):
-                col = int(col)
-                if col == i:
-                    diag = a
-                    continue
-                sum_all += a
-                if col in used_set:
-                    sum_used += a
-                    coeff[col] = coeff.get(col, 0.0) + a
-            if diag == 0.0 or sum_used == 0.0:
-                continue
-            alpha = sum_all / sum_used
-            acc: dict[int, float] = {}
-            for m, a_im in coeff.items():
-                scale = -alpha * a_im / diag
-                for c, w in P_rows[m].items():
-                    acc[c] = acc.get(c, 0.0) + scale * w
-            newly.append((i, acc))
-        for i, acc in newly:
-            P_rows[i] = acc
-            done[i] = True
-            progress = True
-
-    rows_out, cols_out, vals_out = [], [], []
-    for i, row in P_rows.items():
-        for c, w in row.items():
-            if w != 0.0:
-                rows_out.append(i)
-                cols_out.append(c)
-                vals_out.append(w)
-    P = sp.csr_matrix(
-        (np.array(vals_out), (np.array(rows_out, dtype=np.int64), np.array(cols_out, dtype=np.int64))),
-        shape=(n, nc),
-    )
+    done = splitting == CPOINT
+    cpts = np.flatnonzero(done)
+    P = sp.csr_matrix((np.ones(cpts.size), (cpts, cmap[cpts])), shape=(n, nc))
+    while not done.all():
+        used = strong & done[cols]
+        sum_used = np.bincount(rows[used], weights=data[used], minlength=n)
+        cover = ~done & (sum_used != 0.0) & (diag != 0.0)
+        if not cover.any():
+            break
+        scale = np.zeros(n)
+        scale[cover] = -(sum_all[cover] / sum_used[cover])
+        e = used & cover[rows]
+        W = sp.csr_matrix(
+            (scale[rows[e]] * data[e] / diag[rows[e]], (rows[e], cols[e])), shape=(n, n)
+        )
+        P = P + W @ P
+        done |= cover
     return as_csr(P)
 
 

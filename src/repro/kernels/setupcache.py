@@ -3,8 +3,9 @@
 The paper's timing experiments (Table I, Figs. 4-6) average many runs
 of the same problem; the reproduction's benchmark harnesses do the
 same.  AMG setup — strength, coarsening, interpolation, Galerkin
-products — dominated every such sweep (seconds per run at 256²-sized
-problems) while being a pure function of ``(matrix, options)``.  This
+products — is a pure function of ``(matrix, options)`` and costs far
+more than a lookup: about 0.1 s cold for 5pt 96² and 0.7–0.8 s for
+5pt 256², against milliseconds for a hit (docs/PERFORMANCE.md).  This
 module memoizes it:
 
 - :func:`cached_setup_hierarchy` keys on a content hash of the matrix

@@ -11,6 +11,7 @@ from repro.amg import (
     smoothed_interpolants,
 )
 from repro.amg.smoothed_interp import smoothed_two_level_interpolant
+from repro.problems import build_problem
 
 
 class TestGalerkin:
@@ -139,3 +140,23 @@ class TestSmoothedInterpolants:
         lv = hier_7pt.levels[0]
         with pytest.raises(ValueError):
             smoothed_two_level_interpolant(lv.A, lv.P, kind="gs")
+
+
+#: The benchmark's hierarchies under default SetupOptions (its exact
+#: counts: compare.py fails a change that moves any of them).
+BENCHMARK_SHAPES = [
+    ("5pt", 96, [9216, 1152, 552, 144, 36], [45696, 9950, 10416, 2504, 500], 1.511423319328),
+    ("27pt", 20, [8000, 140, 38], [195112, 2342, 758], 1.015888310304),
+    ("27pt", 28, [21952, 392, 114, 33], [551368, 6830, 3272, 813], 1.019796215957),
+    ("7pt", 4, [64, 6], [352, 34], 1.096590909091),
+    ("27pt", 5, [125, 1], [2197, 1], 1.000455166136),
+]
+
+
+@pytest.mark.parametrize("name,size,rows,nnz,complexity", BENCHMARK_SHAPES)
+def test_benchmark_hierarchy_shapes(name, size, rows, nnz, complexity):
+    h = setup_hierarchy(build_problem(name, size).A, SetupOptions())
+    assert h.nlevels == len(rows)
+    assert [lv.n for lv in h.levels] == rows
+    assert [lv.nnz for lv in h.levels] == nnz
+    assert round(h.operator_complexity(), 12) == complexity
