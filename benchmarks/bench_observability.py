@@ -4,9 +4,11 @@ observability layers on vs off; regenerates ``results/BENCH_observe.json``.
 Measures the cost of the ``repro.observe`` instrumentation on the two
 backends where it sits on a hot path: the sequential engine (events on
 every chunked read/write micro-step) and the threaded executor (a
-``TracedPolicy`` wrapping every stripe commit plus per-correction
-events).  Three arms per backend, timed *alternately* (so machine
-drift hits all equally) and compared on best-of-``BEST_OF`` wall time:
+``TracedPolicy`` observing each write policy's stripe sweep — acquire
+timing, the policy's commit epoch and one event per read or commit —
+plus per-correction events).  Four arms per backend, timed
+*alternately* (so machine drift hits all equally) and compared on
+best-of-``BEST_OF`` wall time:
 
 - **plain** — no tracer;
 - **traced** — tracer on (the run-end trace satellite);

@@ -21,12 +21,13 @@ Three complementary layers:
   :class:`~repro.analysis.project.ProjectIndex`.
 
 - **Dynamic** (:mod:`repro.analysis.racecheck`) — a happens-before
-  checker: :class:`CheckedWrite` wraps any write policy with per-stripe
-  sequence counters and vector clocks, and a conformance run on a real
-  threaded solve empirically verifies the paper's model assumptions
-  (no torn reads under lock/atomic, read staleness ≤ δ, monotone read
-  instants, per-grid update counts consistent with ``p_k ~ U[α, 1]``),
-  producing a :class:`ModelConformanceReport`.
+  checker: :class:`CheckedWrite` observes a write policy's stripe
+  sweep with per-stripe sequence counters and vector clocks, and a
+  conformance run on a real threaded solve empirically verifies the
+  paper's model assumptions (no torn reads under lock/atomic, read
+  staleness ≤ δ, monotone read instants, per-grid update counts
+  consistent with ``p_k ~ U[α, 1]``), producing a
+  :class:`ModelConformanceReport`.
 """
 
 from .linter import LintReport, default_root, lint_index, lint_source, run_linter

@@ -1,11 +1,10 @@
 """Happens-before race/staleness checker for the threaded executor.
 
-:class:`CheckedWrite` wraps any :class:`~repro.core.writes.WritePolicy`
-with seqlock-style instrumentation *inside* the policy's own critical
-sections: it re-implements ``add`` / ``assign_slice`` / ``read`` using
-the wrapped policy's lock objects, interleaving the bookkeeping with
-the data movement so the metadata is exactly as consistent as the data
-it describes.
+:class:`CheckedWrite` observes a :class:`~repro.core.writes.WritePolicy`'s
+stripe sweep with seqlock-style instrumentation *inside* the policy's
+own critical sections: the sweep calls it before and after each
+stripe's data movement, so the metadata is exactly as consistent as
+the data it describes.
 
 Per stripe it maintains
 
@@ -17,14 +16,12 @@ Per stripe it maintains
   non-decreasing clocks (the paper's monotone read instants
   ``z_k(tau_k) <= z_k(t)``);
 
-and globally
-
-- a **commit epoch** (total ``add`` commits — the dynamic analogue of
-  the models' time instant ``t``) plus an **epoch log** of every
-  operation, from which read staleness is measured: when a worker
-  commits correction number ``t`` (global count), the read it computed
-  from was taken at epoch ``z``; the paper's bounded-delay assumption
-  (Section III) demands ``t - 1 - z <= delta``.
+and globally an **epoch log** of every operation, and the read
+staleness measured against the policy's **commit epoch** (total
+``add`` commits — the dynamic analogue of the models' time instant
+``t``): when a worker commits correction number ``t`` (global count),
+the read it computed from was taken at epoch ``z``; the paper's
+bounded-delay assumption (Section III) demands ``t - 1 - z <= delta``.
 
 :func:`run_conformance` runs a real threaded solve with both shared
 vectors instrumented and folds the measurements into a
@@ -33,7 +30,7 @@ vectors instrumented and folds the measurements into a
 
 Under ``lock``/``atomic`` policies the instrumentation shares the
 policy's own locks, so a torn read or a vector-clock regression is a
-genuine policy bug, not checker noise.  Wrapping
+genuine policy bug, not checker noise.  Observing
 :class:`~repro.core.writes.UnsafeWrite` (which has no locks) turns the
 checker into a tearing *detector* — the ablation that shows the
 instrument actually fires.
@@ -45,11 +42,11 @@ import threading
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.writes import AtomicWrite, LockWrite, WritePolicy
+from ..core.writes import ASSIGN, READ, WriteObserver, WritePolicy
 
 __all__ = ["CheckedWrite", "ModelConformanceReport", "run_conformance"]
 
@@ -84,6 +81,28 @@ class ModelConformanceReport:
     rel_residual: float = float("inf")
     diverged: bool = False
     stalled: bool = False
+
+    @classmethod
+    def measured(
+        cls, staleness: Sequence[float], counts: Optional[Iterable[int]], **fields: Any
+    ) -> "ModelConformanceReport":
+        """The report, with the quantities every instrument derives
+        alike computed here: p̂ and the minimum update share from the
+        per-grid ``counts`` (None: unknown), and the staleness maximum,
+        mean and sample count from the per-commit ``staleness``
+        samples.  ``fields`` are the remaining report fields."""
+        counts_list = [int(c) for c in counts] if counts is not None else []
+        cmax = max(counts_list, default=0)
+        p_hat = [c / cmax for c in counts_list] if cmax else []
+        return cls(
+            max_staleness=int(max(staleness)) if staleness else 0,
+            mean_staleness=float(np.mean(staleness)) if staleness else 0.0,
+            staleness_samples=len(staleness),
+            counts=counts_list,
+            p_hat=p_hat,
+            min_update_share=min(p_hat) if p_hat else 0.0,
+            **fields,
+        )
 
     @property
     def staleness_ok(self) -> bool:
@@ -124,44 +143,29 @@ class ModelConformanceReport:
         )
 
 
-class CheckedWrite(WritePolicy):
-    """Decorate a :class:`WritePolicy` with happens-before checking.
+class CheckedWrite(WriteObserver):
+    """Happens-before checking for one write policy, as an observer of
+    its stripe sweep (attach it as the policy's ``observer``).
 
-    The wrapper reuses the inner policy's lock objects, so its
-    synchronization semantics (and contention profile) are identical to
-    the policy under test — only the bookkeeping rides along inside the
-    critical sections.
+    The hooks run inside the policy's own critical sections, so the
+    synchronization (and contention profile) is exactly the policy's
+    under test — only the bookkeeping rides along.
     """
 
     #: cap on retained epoch-log entries / torn-read events
     LOG_LIMIT = 100_000
 
-    def __init__(self, inner: WritePolicy) -> None:
-        super().__init__(inner.n)
-        self.inner = inner
-        self.name = f"checked[{inner.name}]"
-        if isinstance(inner, AtomicWrite):
-            self.nstripes = inner.nstripes
-            self.stripe = inner.stripe
-            self._locks: List[Optional[threading.Lock]] = list(inner._locks)
-        elif isinstance(inner, LockWrite):
-            self.nstripes = 1
-            self.stripe = max(inner.n, 1)
-            self._locks = [inner._lock]
-        else:  # UnsafeWrite or a custom unlocked policy: detector mode
-            self.nstripes = 1
-            self.stripe = max(inner.n, 1)
-            self._locks = [None]
+    def __init__(self, policy: WritePolicy) -> None:
+        self.policy = policy
+        self.name = f"checked[{policy.name}]"
+        nstripes = policy.nstripes
         # Seqlock counters: odd while a write to the stripe is in flight.
-        self._wseq = [0] * self.nstripes
+        self._wseq = [0] * nstripes
         # Per-stripe vector clocks: thread ident -> commits to stripe.
-        self._clock: List[Dict[int, int]] = [dict() for _ in range(self.nstripes)]
-        # Global commit epoch (number of completed add() calls) and the
-        # leaf lock guarding it plus the per-thread read bookkeeping.
-        self._epoch_lock = threading.Lock()
-        self._commits = 0
-        self._last_read_epoch: Dict[int, int] = {}
+        self._clock: List[Dict[int, int]] = [dict() for _ in range(nstripes)]
         self._last_clocks_seen: Dict[Tuple[int, int], Dict[int, int]] = {}
+        # Stripes each thread's current sweep has visited, in order.
+        self._order: Dict[int, List[int]] = {}
         # Measurements.
         self.total_reads = 0
         self.total_assigns = 0
@@ -177,18 +181,6 @@ class CheckedWrite(WritePolicy):
         self._t0 = _time.perf_counter()
 
     # ------------------------------------------------------------------
-    def _ranges(self) -> Iterator[Tuple[int, int, int]]:
-        if isinstance(self.inner, AtomicWrite):
-            yield from self.inner._ranges()
-        else:
-            yield 0, 0, self.n
-
-    def _ranges_slice(self, lo: int, hi: int) -> Iterator[Tuple[int, int, int]]:
-        if isinstance(self.inner, AtomicWrite):
-            yield from self.inner._ranges(lo, hi)
-        else:
-            yield 0, lo, hi
-
     def _log(self, op: str, tid: int, s: int) -> None:
         # deque.append is atomic under the GIL; entries record the
         # post-operation sequence number for offline happens-before
@@ -201,79 +193,24 @@ class CheckedWrite(WritePolicy):
         if any(b <= a for a, b in zip(order, order[1:])):
             self.lock_order_violations += 1
 
-    # -- write paths ----------------------------------------------------
-    def add(self, target: np.ndarray, update: np.ndarray) -> None:
-        tid = threading.get_ident()
-        order: List[int] = []
-        for s, a, b in self._ranges():
-            lock = self._locks[s]
-            if lock is not None:
-                lock.acquire()
-            try:
-                self._wseq[s] += 1  # odd: write in flight
-                target[a:b] += update[a:b]
-                self._clock[s][tid] = self._clock[s].get(tid, 0) + 1
-                self._wseq[s] += 1  # even: committed
-                self._log("add", tid, s)
-            finally:
-                if lock is not None:
-                    lock.release()
-            order.append(s)
-        self._check_order(order)
-        with self._epoch_lock:
-            self._commits += 1
-            commit_epoch = self._commits
-            z = self._last_read_epoch.get(tid)
-        if z is not None:
-            # Commits by *other* grids between this grid's read and its
-            # own commit — the measured read delay of Section III.
-            self.staleness.append(max(0, commit_epoch - 1 - z))
+    # -- the sweep's hooks ----------------------------------------------
+    def before(self, op: str, s: int) -> int:
+        if op != READ:
+            self._wseq[s] += 1  # odd: write in flight
+        return self._wseq[s]
 
-    def assign_slice(
-        self, target: np.ndarray, lo: int, hi: int, values: np.ndarray
-    ) -> None:
+    def after(self, op: str, s: int, pre: int) -> None:
         tid = threading.get_ident()
-        order: List[int] = []
-        for s, a, b in self._ranges_slice(lo, hi):
-            lock = self._locks[s]
-            if lock is not None:
-                lock.acquire()
-            try:
-                self._wseq[s] += 1
-                target[a:b] = values[a - lo : b - lo]
-                self._clock[s][tid] = self._clock[s].get(tid, 0) + 1
-                self._wseq[s] += 1
-                self._log("assign", tid, s)
-            finally:
-                if lock is not None:
-                    lock.release()
-            order.append(s)
-        self._check_order(order)
-        self.total_assigns += 1
-
-    # -- read path ------------------------------------------------------
-    def read(self, source: np.ndarray) -> np.ndarray:
-        tid = threading.get_ident()
-        out = np.empty(self.n)
-        order: List[int] = []
-        for s, a, b in self._ranges():
-            lock = self._locks[s]
-            if lock is not None:
-                lock.acquire()
-            try:
-                pre = self._wseq[s]
-                out[a:b] = source[a:b]
-                post = self._wseq[s]
-                clock_snap = dict(self._clock[s])
-                self._log("read", tid, s)
-            finally:
-                if lock is not None:
-                    lock.release()
-            if pre % 2 == 1 or post != pre:
+        if op != READ:
+            self._clock[s][tid] = self._clock[s].get(tid, 0) + 1
+            self._wseq[s] += 1  # even: committed
+        else:
+            if pre % 2 == 1 or self._wseq[s] != pre:
                 # Seqlock tear: the stripe changed under the copy.
                 self.torn_reads += 1
                 if len(self.torn_read_events) < 1000:
                     self.torn_read_events.append((tid, s))
+            clock_snap = dict(self._clock[s])
             prev = self._last_clocks_seen.get((tid, s))
             if prev is not None and any(
                 clock_snap.get(writer, 0) < count for writer, count in prev.items()
@@ -283,12 +220,19 @@ class CheckedWrite(WritePolicy):
                 # read — the monotone-read assumption is violated.
                 self.monotone_violations += 1
             self._last_clocks_seen[(tid, s)] = clock_snap
-            order.append(s)
-        self._check_order(order)
-        with self._epoch_lock:
-            self._last_read_epoch[tid] = self._commits
-        self.total_reads += 1
-        return out
+        self._log(op, tid, s)
+        self._order.setdefault(tid, []).append(s)
+
+    def swept(self, op: str, wait: float, epoch: int, staleness: int) -> None:
+        self._check_order(self._order.pop(threading.get_ident(), []))
+        if op == READ:
+            self.total_reads += 1
+        elif op == ASSIGN:
+            self.total_assigns += 1
+        elif staleness >= 0:
+            # Commits by *other* grids between this grid's read and its
+            # own commit — the measured read delay of Section III.
+            self.staleness.append(staleness)
 
     # ------------------------------------------------------------------
     def report(
@@ -300,15 +244,13 @@ class CheckedWrite(WritePolicy):
         stalled: bool = False,
     ) -> ModelConformanceReport:
         """Fold the collected measurements into a report."""
-        stal = self.staleness
-        counts_list = [int(c) for c in counts] if counts is not None else []
-        cmax = max(counts_list) if counts_list else 0
-        p_hat = [c / cmax for c in counts_list] if cmax else []
-        return ModelConformanceReport(
+        return ModelConformanceReport.measured(
+            self.staleness,
+            counts,
             policy=self.name,
-            n=self.n,
-            nstripes=self.nstripes,
-            total_commits=self._commits,
+            n=self.policy.n,
+            nstripes=self.policy.nstripes,
+            total_commits=self.policy.commits,
             total_reads=self.total_reads,
             total_assigns=self.total_assigns,
             torn_reads=self.torn_reads,
@@ -316,12 +258,6 @@ class CheckedWrite(WritePolicy):
             lock_order_violations=self.lock_order_violations,
             monotone_violations=self.monotone_violations,
             staleness_bound=int(staleness_bound),
-            max_staleness=max(stal) if stal else 0,
-            mean_staleness=float(np.mean(stal)) if stal else 0.0,
-            staleness_samples=len(stal),
-            counts=counts_list,
-            p_hat=p_hat,
-            min_update_share=min(p_hat) if p_hat else 0.0,
             rel_residual=float(rel_residual),
             diverged=bool(diverged),
             stalled=bool(stalled),
@@ -356,10 +292,9 @@ def run_conformance(
 
     checkers: List[CheckedWrite] = []
 
-    def wrapper(policy: WritePolicy) -> WritePolicy:
-        checker = CheckedWrite(policy)
-        checkers.append(checker)
-        return checker
+    def observe(policy: WritePolicy) -> CheckedWrite:
+        checkers.append(CheckedWrite(policy))
+        return checkers[-1]
 
     result = run_threaded(
         solver,
@@ -370,7 +305,7 @@ def run_conformance(
         criterion=criterion,
         stripe=stripe,
         timeout=timeout,
-        policy_wrapper=wrapper,
+        observe=observe,
     )
     # checkers[0] instruments the shared iterate x — the vector the
     # paper's read-delay model is stated for.
@@ -379,7 +314,7 @@ def run_conformance(
         if criterion == "criterion1":
             delta = (solver.ngrids - 1) * tmax
         else:
-            delta = xchk._commits
+            delta = xchk.policy.commits
     return xchk.report(
         staleness_bound=delta,
         counts=result.counts,

@@ -395,9 +395,9 @@ def _policy_vars(info: FunctionInfo) -> Set[str]:
         ann = arg.annotation
         if ann is not None:
             text = ast.dump(ann)
-            if "Policy" in text or "CheckedWrite" in text:
+            if "Policy" in text:
                 pols.add(arg.arg)
-    for _ in range(3):  # wrap chains: xpol = _TracedPolicy(xpol, ...)
+    for _ in range(3):  # wrap chains: pol2 = wrap(pol)
         for stmt in walk_own(node):
             if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
                 continue

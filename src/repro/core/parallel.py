@@ -89,7 +89,7 @@ from .run import (
     correction_loop,
     row_blocks,
 )
-from .writes import WRITES, make_write_policy
+from .writes import WRITES, lock_count, make_write_policy
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.observe
     from ..observe.live import LiveConfig
@@ -526,11 +526,7 @@ def _make_locks(write: str, n: int, stripe: int, ctx: Any) -> List[Any]:
     """The write policy's locks for one shared vector, created in the
     parent (mp locks are only shippable through ``Process`` args, not
     via late pickling)."""
-    if write == "lock":
-        return [ctx.Lock()]
-    if write == "atomic":
-        return [ctx.Lock() for _ in range(max(1, -(-n // stripe)))]
-    return []
+    return [ctx.Lock() for _ in range(lock_count(write, n, stripe))]
 
 
 def _drain_rings(sv: SharedVectors, tracer: "Tracer", cursors: List[int]) -> None:

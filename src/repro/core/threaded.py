@@ -44,7 +44,7 @@ from .run import (
     row_blocks,
     start_residual,
 )
-from .writes import WRITES, WritePolicy, make_write_policy
+from .writes import WRITES, WriteObserver, WritePolicy, make_write_policy
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.observe
     from ..observe.live import LiveConfig
@@ -73,7 +73,7 @@ def run_threaded(
     monitor_interval: Optional[float] = None,
     faults: Optional[FaultPlan] = None,
     guard: Optional[GuardPolicy] = None,
-    policy_wrapper: Optional[Callable[[WritePolicy], WritePolicy]] = None,
+    observe: Optional[Callable[[WritePolicy], WriteObserver]] = None,
     tracer: Optional["Tracer"] = None,
     live: Optional["LiveConfig"] = None,
 ) -> RunResult:
@@ -94,20 +94,23 @@ def run_threaded(
     the shared iterate from the supervisor, and restarts dead workers
     re-synced from the current shared state.
 
-    ``policy_wrapper`` decorates each shared-vector write policy after
-    construction (applied to the iterate's policy first, then the
-    residual's) — the hook
+    ``observe`` is called on each shared-vector write policy after
+    construction (the iterate's first, then the residual's) and its
+    result is attached as that policy's
+    :class:`~repro.core.writes.WriteObserver`, which rides the policy's
+    stripe sweep inside its critical sections — the hook
     :class:`repro.analysis.racecheck.CheckedWrite` uses to instrument
     a run with happens-before checking without changing its
     synchronization.
 
     ``tracer`` is the parallel observability hook: both shared-vector
-    policies are wrapped in
-    :class:`~repro.observe.TracedPolicy` (outside ``policy_wrapper``,
-    delegating to it, so both hooks compose), each worker records into
-    its own per-thread ring buffer (no cross-thread locking on the hot
-    path), and the merged digest lands on ``result.trace_summary``.
-    Event times are wall seconds from the run's start.
+    policies are observed by a :class:`~repro.observe.TracedPolicy`,
+    each worker records into its own per-thread ring buffer (no
+    cross-thread locking on the hot path), and the merged digest lands
+    on ``result.trace_summary``.  Event times are wall seconds from the
+    run's start.  A policy has one observer, so ``observe`` together
+    with ``tracer`` (or ``live``, which implies one) raises
+    :class:`ValueError`.
 
     ``live`` (see :class:`~repro.core.run.RunContext`) turns the
     residual monitor on at the snapshot cadence when
@@ -117,6 +120,8 @@ def run_threaded(
     """
     check_choice("rescomp", rescomp, RESCOMP)
     check_choice("write", write, WRITES)
+    if observe is not None and (tracer is not None or live is not None):
+        raise ValueError("a write policy has one observer: pass observe or a tracer, not both")
     n = solver.n
     ngrids = solver.ngrids
     A = solver.A
@@ -130,18 +135,17 @@ def run_threaded(
 
     xpol = make_write_policy(write, n, stripe)
     rpol = make_write_policy(write, n, stripe)
-    if policy_wrapper is not None:
-        xpol = policy_wrapper(xpol)
-        rpol = policy_wrapper(rpol)
     traced_x: Optional["TracedPolicy"] = None
     if tracer is not None:
         # Imported lazily: repro.observe imports repro.core.writes, so a
         # module-level import here would be circular.
         from ..observe.tracer import TracedPolicy as _TracedPolicy
 
-        traced_x = _TracedPolicy(xpol, tracer, "x")
-        xpol = traced_x
-        rpol = _TracedPolicy(rpol, tracer, "r")
+        traced_x = xpol.observer = _TracedPolicy(tracer, "x")
+        rpol.observer = _TracedPolicy(tracer, "r")
+    elif observe is not None:
+        xpol.observer = observe(xpol)
+        rpol.observer = observe(rpol)
 
     rows = row_blocks(solver.work_per_grid(), n)
     stop_event = threading.Event()

@@ -18,6 +18,22 @@ The paper studies two remedies:
   threads can lose updates); kept for the ablation that shows why the
   paper needs the other two.
 
+All three are one stripe sweep (:class:`WritePolicy`): ``add``,
+``assign_slice`` and ``read`` visit the stripes in ascending order and
+move each stripe's data inside that stripe's critical section.
+``lock`` is one locked stripe over the whole vector, ``unsafe`` one
+unlocked stripe, ``atomic`` many locked stripes.
+
+A :class:`WriteObserver` attached to a policy rides that sweep: it is
+called inside each stripe's critical section before and after the data
+movement, and once after the sweep with the summed lock-acquire wait.
+While an observer is attached the policy also keeps the commit epoch
+(completed ``add`` calls — the models' time instant ``t``) and each
+thread's last read epoch, under one leaf lock taken after the sweep, so
+the epochs one thread reads never decrease.  The tracer's
+:class:`~repro.observe.TracedPolicy` and the happens-before checker
+:class:`~repro.analysis.CheckedWrite` are such observers.
+
 The modes are defined by what a reader may observe, not by who the
 workers are: a policy takes its lock objects, fresh ``threading``
 locks by default, so the procs executor runs the same policies over
@@ -27,42 +43,157 @@ locks by default, so the procs executor runs the same policies over
 from __future__ import annotations
 
 import threading
-from abc import ABC, abstractmethod
-from typing import Any, Iterator, Optional, Sequence, Tuple
+import time as _time
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "WRITES",
+    "ADD",
+    "ASSIGN",
+    "READ",
+    "WriteObserver",
     "WritePolicy",
     "LockWrite",
     "AtomicWrite",
     "UnsafeWrite",
+    "lock_count",
     "make_write_policy",
 ]
 
 WRITES = ("lock", "atomic", "unsafe")
 
+#: The sweep's operations, as an observer sees them.
+ADD, ASSIGN, READ = "add", "assign", "read"
 
-class WritePolicy(ABC):
-    """Owns the synchronization for one shared vector of length ``n``."""
 
-    name = "abstract"
+def lock_count(name: str, n: int, stripe: int) -> int:
+    """Locks a ``name`` policy takes over a vector of length ``n``: one
+    for ``lock``, one per ``stripe``-sized stripe for ``atomic``, none
+    for ``unsafe``."""
+    if name not in WRITES:
+        raise KeyError(f"unknown write policy {name!r}; known: {sorted(WRITES)}")
+    if name != "atomic":
+        return int(name == "lock")
+    if stripe < 1:
+        raise ValueError("stripe must be >= 1")
+    return max(1, -(-n // stripe))
 
-    def __init__(self, n: int) -> None:
+
+class WriteObserver:
+    """Bookkeeping that rides a policy's stripe sweep.
+
+    ``op`` is :data:`ADD`, :data:`ASSIGN` or :data:`READ` and ``s`` the
+    stripe index.  The hooks here do nothing, so an observer overrides
+    only the ones it needs.
+    """
+
+    def before(self, op: str, s: int) -> Any:
+        """Inside stripe ``s``'s critical section, before the data
+        moves; the return value is handed to :meth:`after`."""
+        return None
+
+    def after(self, op: str, s: int, token: Any) -> None:
+        """Inside the same critical section, after the data moved."""
+
+    def swept(self, op: str, wait: float, epoch: int, staleness: int) -> None:
+        """Once per sweep, after every stripe lock is released, under
+        the policy's epoch lock.
+
+        ``wait`` is the seconds spent blocked on stripe acquires.
+        ``epoch`` is the commit epoch: for an ``add`` the one it just
+        completed, for a ``read`` the one it observed.  ``staleness``
+        is, for an ``add`` by a thread that has read, the commits
+        completed between that read and this commit, else −1.
+        """
+
+
+class WritePolicy:
+    """One stripe sweep over a shared vector of length ``n``.
+
+    Stripe ``s`` covers ``[s * stripe, (s + 1) * stripe)`` and is
+    guarded by ``locks[s]``, or by nothing when that is None.  The
+    subclasses only choose the stripes and their locks.
+    """
+
+    name = "stripes"
+
+    def __init__(self, n: int, stripe: int, locks: Sequence[Any]) -> None:
         self.n = int(n)
+        self.stripe = int(stripe)
+        self.nstripes = len(locks)
+        self._locks = list(locks)
+        self._stripes = list(self._ranges())  # the whole-vector sweep
+        self.observer: Optional[WriteObserver] = None
+        # Kept only while observed: the commit epoch and each thread's
+        # last read epoch, under a leaf lock never held with a stripe's.
+        self.commits = 0
+        self._read_epochs: Dict[int, int] = {}
+        self._epoch_lock = threading.Lock()
 
-    @abstractmethod
+    def _ranges(self, lo: int = 0, hi: Optional[int] = None) -> Iterator[Tuple[int, int, int]]:
+        """``(s, a, b)``: stripe ``s`` holds ``[a, b)`` of ``[lo, hi)``."""
+        hi = self.n if hi is None else hi
+        stripe = self.stripe
+        stop = -(-hi // stripe) if hi > lo else 0
+        for s in range(lo // stripe, stop):
+            yield s, max(lo, s * stripe), min(hi, (s + 1) * stripe)
+
+    def _sweep(self, op: str, dst: np.ndarray, src: np.ndarray, lo: int, hi: int) -> None:
+        """Move ``src`` into ``dst[lo:hi]`` stripe by stripe, ascending,
+        each stripe under its lock: ``+=`` for :data:`ADD`, ``=``
+        otherwise.  ``src`` is indexed from ``lo``."""
+        obs = self.observer
+        wait = 0.0
+        stripes = self._stripes if lo == 0 and hi == self.n else self._ranges(lo, hi)
+        for s, a, b in stripes:
+            lock = self._locks[s]
+            if lock is not None:
+                if obs is None:
+                    lock.acquire()
+                else:  # only an observed sweep times its acquires
+                    t0 = _time.perf_counter()
+                    lock.acquire()
+                    wait += _time.perf_counter() - t0
+            try:
+                token = obs.before(op, s) if obs is not None else None
+                if op == ADD:
+                    dst[a:b] += src[a - lo : b - lo]
+                else:
+                    dst[a:b] = src[a - lo : b - lo]
+                if obs is not None:
+                    obs.after(op, s, token)
+            finally:
+                if lock is not None:
+                    lock.release()
+        if obs is None:
+            return
+        tid = threading.get_ident()
+        staleness = -1
+        with self._epoch_lock:
+            if op == ADD:
+                self.commits += 1
+                z = self._read_epochs.get(tid)
+                if z is not None:
+                    staleness = self.commits - 1 - z
+            elif op == READ:
+                self._read_epochs[tid] = self.commits
+            obs.swept(op, wait, self.commits, staleness)
+
     def add(self, target: np.ndarray, update: np.ndarray) -> None:
         """``target += update`` with this policy's consistency."""
+        self._sweep(ADD, target, update, 0, self.n)
 
-    @abstractmethod
     def assign_slice(self, target: np.ndarray, lo: int, hi: int, values: np.ndarray) -> None:
         """``target[lo:hi] = values`` (global-res residual refresh)."""
+        self._sweep(ASSIGN, target, values, lo, hi)
 
-    @abstractmethod
     def read(self, source: np.ndarray) -> np.ndarray:
         """Read a copy of the shared vector under this policy."""
+        out = np.empty(self.n)
+        self._sweep(READ, out, source, 0, self.n)
+        return out
 
 
 class LockWrite(WritePolicy):
@@ -71,20 +202,7 @@ class LockWrite(WritePolicy):
     name = "lock"
 
     def __init__(self, n: int, lock: Any = None) -> None:
-        super().__init__(n)
-        self._lock = threading.Lock() if lock is None else lock
-
-    def add(self, target: np.ndarray, update: np.ndarray) -> None:
-        with self._lock:
-            target += update
-
-    def assign_slice(self, target: np.ndarray, lo: int, hi: int, values: np.ndarray) -> None:
-        with self._lock:
-            target[lo:hi] = values
-
-    def read(self, source: np.ndarray) -> np.ndarray:
-        with self._lock:
-            return source.copy()
+        super().__init__(n, max(int(n), 1), [threading.Lock() if lock is None else lock])
 
 
 class AtomicWrite(WritePolicy):
@@ -98,42 +216,12 @@ class AtomicWrite(WritePolicy):
     name = "atomic"
 
     def __init__(self, n: int, stripe: int = 1024, locks: Optional[Sequence[Any]] = None) -> None:
-        super().__init__(n)
-        if stripe < 1:
-            raise ValueError("stripe must be >= 1")
-        self.stripe = int(stripe)
-        self.nstripes = max(1, -(-n // self.stripe))
+        need = lock_count(self.name, n, stripe)
         if locks is None:
-            locks = [threading.Lock() for _ in range(self.nstripes)]
-        if len(locks) != self.nstripes:
-            raise ValueError(f"need {self.nstripes} stripe locks, got {len(locks)}")
-        self._locks = list(locks)
-
-    def _ranges(self, lo: int = 0, hi: int | None = None) -> Iterator[Tuple[int, int, int]]:
-        hi = self.n if hi is None else hi
-        first = lo // self.stripe
-        last = (hi - 1) // self.stripe if hi > lo else first - 1
-        for s in range(first, last + 1):
-            a = max(lo, s * self.stripe)
-            b = min(hi, (s + 1) * self.stripe)
-            yield s, a, b
-
-    def add(self, target: np.ndarray, update: np.ndarray) -> None:
-        for s, a, b in self._ranges():
-            with self._locks[s]:
-                target[a:b] += update[a:b]
-
-    def assign_slice(self, target: np.ndarray, lo: int, hi: int, values: np.ndarray) -> None:
-        for s, a, b in self._ranges(lo, hi):
-            with self._locks[s]:
-                target[a:b] = values[a - lo : b - lo]
-
-    def read(self, source: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n)
-        for s, a, b in self._ranges():
-            with self._locks[s]:
-                out[a:b] = source[a:b]
-        return out
+            locks = [threading.Lock() for _ in range(need)]
+        if len(locks) != need:
+            raise ValueError(f"need {need} stripe locks, got {len(locks)}")
+        super().__init__(n, stripe, locks)
 
 
 class UnsafeWrite(WritePolicy):
@@ -141,14 +229,8 @@ class UnsafeWrite(WritePolicy):
 
     name = "unsafe"
 
-    def add(self, target: np.ndarray, update: np.ndarray) -> None:
-        target += update
-
-    def assign_slice(self, target: np.ndarray, lo: int, hi: int, values: np.ndarray) -> None:
-        target[lo:hi] = values
-
-    def read(self, source: np.ndarray) -> np.ndarray:
-        return source.copy()
+    def __init__(self, n: int) -> None:
+        super().__init__(n, max(int(n), 1), [None])
 
 
 def make_write_policy(
@@ -156,17 +238,14 @@ def make_write_policy(
 ) -> WritePolicy:
     """Build a write policy by name (one of :data:`WRITES`).
 
-    ``locks`` are the policy's lock objects: one for ``lock``, one per
-    ``stripe``-sized stripe for ``atomic``, none for ``unsafe``; None
-    creates fresh ``threading`` locks.
+    ``locks`` are the policy's lock objects, :func:`lock_count` of
+    them; None creates fresh ``threading`` locks.
     """
-    if name not in WRITES:
-        raise KeyError(f"unknown write policy {name!r}; known: {sorted(WRITES)}")
-    if name == "atomic":
-        return AtomicWrite(n, stripe, locks)
-    need = int(name == "lock")
+    need = lock_count(name, n, stripe)
     if locks is not None and len(locks) != need:
         raise ValueError(f"a {name!r} policy takes {need} lock(s), got {len(locks)}")
+    if name == "atomic":
+        return AtomicWrite(n, stripe, locks)
     if name == "lock":
         return LockWrite(n, locks[0] if locks else None)
     return UnsafeWrite(n)

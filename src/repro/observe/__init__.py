@@ -9,7 +9,7 @@ simulator:
 
 - :mod:`repro.observe.tracer`    — :class:`Tracer` (per-worker
   append-only ring buffers, merged at run end), :class:`TracedPolicy`
-  (write-policy instrumentation for the threaded executor) and the
+  (the write-policy observer of the threaded executor) and the
   compact :class:`TraceSummary` attached to result objects.
 - :mod:`repro.observe.events`    — the typed event vocabulary.
 - :mod:`repro.observe.metrics`   — :class:`Metrics`: counters, gauges

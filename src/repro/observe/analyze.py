@@ -16,8 +16,9 @@ correction spans, read epochs, commit staleness — and
 - ``per_grid_counts()`` / ``fairness()`` — the measured analogue of
   ``p_k ~ U[alpha, 1]``;
 - ``conformance()`` — the same quantities packaged as the existing
-  :class:`repro.analysis.racecheck.ModelConformanceReport`, so traced
-  runs and CheckedWrite-instrumented runs are judged by one contract.
+  :class:`repro.analysis.racecheck.ModelConformanceReport`, built by
+  the one constructor CheckedWrite-instrumented runs use too, so both
+  are judged by one contract.
 """
 
 from __future__ import annotations
@@ -184,15 +185,13 @@ class TraceAnalyzer:
         """
         from ..analysis.racecheck import ModelConformanceReport
 
-        counts = list(self.per_grid_counts().values())
-        cmax = max(counts) if counts else 0
-        p_hat = [c / cmax for c in counts] if cmax else []
-        stal = self.staleness()
         series = self.residual_series()
         if rel_residual is None:
             rel_residual = series[-1][1] if series else float("inf")
         bound = self.max_staleness() if staleness_bound is None else staleness_bound
-        return ModelConformanceReport(
+        return ModelConformanceReport.measured(
+            self.staleness(),
+            self.per_grid_counts().values(),
             policy=f"trace[{self.clock}]",
             n=int(n or self.meta.get("n", 0)),
             nstripes=0,
@@ -205,12 +204,6 @@ class TraceAnalyzer:
             lock_order_violations=0,
             monotone_violations=self.monotone_violations(),
             staleness_bound=int(bound),
-            max_staleness=int(self.max_staleness()),
-            mean_staleness=float(np.mean(stal)) if stal else 0.0,
-            staleness_samples=len(stal),
-            counts=counts,
-            p_hat=p_hat,
-            min_update_share=min(p_hat) if p_hat else 0.0,
             rel_residual=float(rel_residual),
             diverged=diverged,
             stalled=stalled,

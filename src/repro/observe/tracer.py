@@ -15,15 +15,15 @@ so a seeded run's event stream is bit-identical across repeats), and
 the distributed simulator records simulated seconds (``clock="sim"``).
 
 :class:`TracedPolicy` is the threaded executor's instrumentation
-hook: it wraps a :class:`~repro.core.writes.WritePolicy` (the same
-decoration point :class:`repro.analysis.racecheck.CheckedWrite` uses)
-and emits ``read``/``write`` events carrying commit epochs, effective
-read staleness, and per-stripe lock-wait durations.
+hook: an observer of a :class:`~repro.core.writes.WritePolicy`'s
+stripe sweep (the hook :class:`repro.analysis.racecheck.CheckedWrite`
+uses too) that emits ``read``/``write`` events carrying the policy's
+commit epochs, effective read staleness, and summed lock-wait
+durations.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time as _time
 from dataclasses import dataclass, field
@@ -31,7 +31,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.writes import AtomicWrite, LockWrite, WritePolicy
+from ..core.writes import ADD, ASSIGN, WriteObserver
 from .events import ALERT, CORRECT_END, READ, RESIDUAL, WRITE, Event
 from .metrics import LOCK_WAIT_BUCKETS_S, STALENESS_BUCKETS, Metrics
 
@@ -361,102 +361,33 @@ class Tracer:
         )
 
 
-class TracedPolicy(WritePolicy):
-    """Wrap a :class:`WritePolicy` with trace emission.
+class TracedPolicy(WriteObserver):
+    """Trace emission for one shared vector, as an observer of its
+    write policy's stripe sweep (attach it as the policy's
+    ``observer``).
 
-    Measures the pure lock-*wait* portion of each commit (time spent
-    blocked on acquire, summed over stripes — the paper's lock-write
-    contention cost), maintains a global commit epoch, and emits
-    ``read``/``write`` events through the tracer's per-thread buffers.
-    The data movement itself is byte-for-byte the wrapped policy's:
-    one stripe sweep for :class:`AtomicWrite`, whole-vector critical
-    sections for :class:`LockWrite`, nothing for unlocked policies.
+    After each sweep it emits one event through the tracer's
+    per-thread buffers: ``write`` with the sweep's summed lock-acquire
+    wait (the paper's lock-write contention cost) and the commit's read
+    staleness, ``write`` tagged ``<tag>:assign`` for a slice refresh,
+    and ``read`` with the commit epoch the read observed.  The epochs
+    are the policy's own, issued under its epoch lock, so the read
+    epochs one thread records never decrease.
     """
 
-    def __init__(self, inner: WritePolicy, tracer: Tracer, tag: str) -> None:
-        super().__init__(inner.n)
-        self.inner = inner
+    def __init__(self, tracer: Tracer, tag: str) -> None:
         self.tracer = tracer
         self.tag = tag
-        self.name = f"traced[{inner.name}]"
-        # Recognized raw policies are re-implemented byte-for-byte with
-        # acquire timing added; anything else (UnsafeWrite, CheckedWrite,
-        # other wrappers) keeps its own commit path via delegation.
-        self._delegate = False
-        if isinstance(inner, AtomicWrite):
-            self._locks: List[Optional[threading.Lock]] = list(inner._locks)
-            self._stripes = list(inner._ranges())
-        elif isinstance(inner, LockWrite):
-            self._locks = [inner._lock]
-            self._stripes = [(0, 0, inner.n)]
-        else:
-            self._locks = [None]
-            self._stripes = [(0, 0, inner.n)]
-            self._delegate = True
-        # Commit epoch: itertools.count gives a GIL-atomic increment;
-        # `epoch` holds the latest issued value for racy-but-monotone
-        # sampling by readers.
-        self._epoch_counter = itertools.count(1)
-        self.epoch = 0
-        self._last_read_epoch: Dict[int, int] = {}
         self._last_commit_staleness: Dict[int, float] = {}
 
-    def _swept(
-        self, target: np.ndarray, other: np.ndarray, assign: bool, lo: int = 0
-    ) -> float:
-        """One stripe sweep with lock-wait timing; returns seconds
-        spent blocked on acquires."""
-        wait = 0.0
-        for s, a, b in self._stripes:
-            if b <= lo or (assign and a >= lo + other.shape[0]):
-                continue
-            lock = self._locks[s]
-            if lock is not None:
-                t0 = _time.perf_counter()
-                lock.acquire()
-                wait += _time.perf_counter() - t0
-            try:
-                if assign:
-                    aa, bb = max(a, lo), min(b, lo + other.shape[0])
-                    if bb > aa:
-                        target[aa:bb] = other[aa - lo : bb - lo]
-                else:
-                    target[a:b] += other[a:b]
-            finally:
-                if lock is not None:
-                    lock.release()
-        return wait
-
-    def add(self, target: np.ndarray, update: np.ndarray) -> None:
-        if self._delegate:
-            wait = 0.0
-            self.inner.add(target, update)
+    def swept(self, op: str, wait: float, epoch: int, staleness: int) -> None:
+        if op == ADD:
+            self._last_commit_staleness[threading.get_ident()] = float(staleness)
+            self.tracer.record_here(WRITE, a=wait, b=float(staleness), tag=self.tag)
+        elif op == ASSIGN:
+            self.tracer.record_here(WRITE, a=wait, b=-1.0, tag=f"{self.tag}:assign")
         else:
-            wait = self._swept(target, update, assign=False)
-        ep = next(self._epoch_counter)
-        self.epoch = ep
-        ident = threading.get_ident()
-        z = self._last_read_epoch.get(ident)
-        staleness = float(ep - 1 - z) if z is not None else -1.0
-        self._last_commit_staleness[ident] = staleness
-        self.tracer.record_here(WRITE, a=wait, b=staleness, tag=self.tag)
-
-    def assign_slice(
-        self, target: np.ndarray, lo: int, hi: int, values: np.ndarray
-    ) -> None:
-        if self._delegate:
-            wait = 0.0
-            self.inner.assign_slice(target, lo, hi, values)
-        else:
-            wait = self._swept(target, values, assign=True, lo=lo)
-        self.tracer.record_here(WRITE, a=wait, b=-1.0, tag=f"{self.tag}:assign")
-
-    def read(self, source: np.ndarray) -> np.ndarray:
-        out = self.inner.read(source)
-        ep = self.epoch
-        self._last_read_epoch[threading.get_ident()] = ep
-        self.tracer.record_here(READ, a=float(ep), tag=self.tag)
-        return out
+            self.tracer.record_here(READ, a=float(epoch), tag=self.tag)
 
     def last_staleness(self) -> float:
         """Staleness of the calling thread's most recent commit, as

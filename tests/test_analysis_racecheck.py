@@ -15,32 +15,41 @@ def multadd_27(hier_27pt):
     return Multadd(hier_27pt, smoother="jacobi", weight=0.9)
 
 
+def _checked(policy):
+    """``policy`` with a CheckedWrite attached as its observer."""
+    chk = CheckedWrite(policy)
+    policy.observer = chk
+    return policy, chk
+
+
 class TestCheckedWriteSemantics:
-    """Wrapping must not change what the policy computes."""
+    """Observing must not change what the policy computes."""
 
     @pytest.mark.parametrize("inner_cls", [LockWrite, AtomicWrite, UnsafeWrite])
     def test_add_matches_plain(self, inner_cls):
         n = 100
-        chk = CheckedWrite(inner_cls(n))
+        pol, chk = _checked(inner_cls(n))
         target = np.zeros(n)
-        chk.add(target, np.arange(float(n)))
+        pol.add(target, np.arange(float(n)))
         assert np.array_equal(target, np.arange(float(n)))
+        assert pol.commits == 1
 
     def test_assign_slice_and_read(self):
         n = 50
-        chk = CheckedWrite(AtomicWrite(n, stripe=16))
+        pol, chk = _checked(AtomicWrite(n, stripe=16))
         target = np.zeros(n)
-        chk.assign_slice(target, 10, 40, np.full(30, 3.0))
-        out = chk.read(target)
+        pol.assign_slice(target, 10, 40, np.full(30, 3.0))
+        out = pol.read(target)
         assert np.array_equal(out[10:40], np.full(30, 3.0))
         assert chk.total_assigns == 1
         assert chk.total_reads == 1
 
     def test_striping_mirrors_inner(self):
-        chk = CheckedWrite(AtomicWrite(1000, stripe=256))
-        assert chk.nstripes == 4
-        chk = CheckedWrite(LockWrite(1000))
-        assert chk.nstripes == 1
+        pol, chk = _checked(AtomicWrite(1000, stripe=256))
+        assert len(chk._wseq) == 4
+        assert chk.report().nstripes == 4
+        pol, chk = _checked(LockWrite(1000))
+        assert len(chk._wseq) == 1
 
 
 class TestDetectors:
@@ -48,49 +57,61 @@ class TestDetectors:
     no reliance on racy scheduling)."""
 
     def test_seqlock_detects_in_flight_write(self):
-        chk = CheckedWrite(UnsafeWrite(10))
+        pol, chk = _checked(UnsafeWrite(10))
         src = np.zeros(10)
         chk._wseq[0] = 1  # simulate a write caught mid-flight
-        chk.read(src)
+        pol.read(src)
         assert chk.torn_reads == 1
         assert chk.torn_read_events
 
     def test_seqlock_clean_read_not_flagged(self):
-        chk = CheckedWrite(UnsafeWrite(10))
+        pol, chk = _checked(UnsafeWrite(10))
         src = np.zeros(10)
-        chk.add(src, np.ones(10))
-        chk.read(src)
+        pol.add(src, np.ones(10))
+        pol.read(src)
         assert chk.torn_reads == 0
 
     def test_vector_clock_detects_regression(self):
-        chk = CheckedWrite(UnsafeWrite(10))
+        pol, chk = _checked(UnsafeWrite(10))
         src = np.zeros(10)
-        chk.add(src, np.ones(10))
-        chk.read(src)  # snapshot: this thread has 1 commit
+        pol.add(src, np.ones(10))
+        pol.read(src)  # snapshot: this thread has 1 commit
         tid = threading.get_ident()
         chk._clock[0][tid] = 0  # simulate observing an older version
-        chk.read(src)
+        pol.read(src)
         assert chk.monotone_violations == 1
 
     def test_lock_order_check(self):
-        chk = CheckedWrite(AtomicWrite(100, stripe=10))
+        pol, chk = _checked(AtomicWrite(100, stripe=10))
         chk._check_order([0, 1, 2])
         assert chk.lock_order_violations == 0
         chk._check_order([2, 1])
         assert chk.lock_order_violations == 1
 
+    def test_sweep_visits_stripes_in_order(self):
+        pol, chk = _checked(AtomicWrite(100, stripe=10))
+        x = np.zeros(100)
+        pol.add(x, np.ones(100))
+        pol.assign_slice(x, 15, 85, np.zeros(70))
+        pol.read(x)
+        assert chk.lock_order_violations == 0
+        ops = [(op, s) for _, op, _, s, _ in chk.epoch_log]
+        assert ops[:10] == [("add", s) for s in range(10)]
+        assert ops[10:18] == [("assign", s) for s in range(1, 9)]
+        assert ops[18:] == [("read", s) for s in range(10)]
+
     def test_staleness_measured(self):
-        chk = CheckedWrite(LockWrite(10))
+        pol, chk = _checked(LockWrite(10))
         src = np.zeros(10)
-        chk.read(src)  # read at epoch 0
-        chk.add(src, np.ones(10))  # commit 1: 0 foreign commits since read
-        chk.add(src, np.ones(10))  # commit 2: 1 commit since that read
+        pol.read(src)  # read at epoch 0
+        pol.add(src, np.ones(10))  # commit 1: 0 foreign commits since read
+        pol.add(src, np.ones(10))  # commit 2: 1 commit since that read
         assert chk.staleness == [0, 1]
 
     def test_report_fail_on_torn_reads(self):
-        chk = CheckedWrite(UnsafeWrite(10))
+        pol, chk = _checked(UnsafeWrite(10))
         chk._wseq[0] = 1
-        chk.read(np.zeros(10))
+        pol.read(np.zeros(10))
         report = chk.report(staleness_bound=10, counts=np.array([1, 1]))
         assert not report.passed
         assert "FAIL" in report.summary()

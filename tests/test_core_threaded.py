@@ -67,6 +67,17 @@ class TestThreaded:
         with pytest.raises(ValueError):
             run_threaded(multadd, b_7pt, write="transactional")
 
+    @pytest.mark.parametrize("arm", ["tracer", "live"])
+    def test_tracer_and_observer_rejected(self, multadd, b_7pt, arm):
+        # A write policy has one observer: a traced run cannot also
+        # take a checker.
+        from repro.analysis import CheckedWrite
+        from repro.observe import LiveConfig, Tracer
+
+        extra = {"tracer": Tracer()} if arm == "tracer" else {"live": LiveConfig()}
+        with pytest.raises(ValueError, match="one observer"):
+            run_threaded(multadd, b_7pt, tmax=1, observe=CheckedWrite, **extra)
+
     def test_async_gs_smoother_threaded(self, hier_7pt_agg, b_7pt):
         # The paper's best configuration: async multigrid + async
         # smoothing, with real threads.

@@ -1,11 +1,13 @@
 """Unit tests for write policies (Section IV race handling)."""
 
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.core import AtomicWrite, LockWrite, UnsafeWrite, make_write_policy
+from repro.core.writes import WriteObserver, lock_count
 
 
 @pytest.mark.parametrize("policy_name", ["lock", "atomic", "unsafe"])
@@ -31,6 +33,18 @@ class TestBasicSemantics:
         assert np.array_equal(src, np.arange(5.0))
 
 
+def _run_to_completion(*targets, timeout=30.0):
+    """Run each target on its own thread and assert that all of them
+    end within ``timeout`` seconds (a hang fails the test, never the
+    run)."""
+    threads = [threading.Thread(target=t, daemon=True) for t in targets]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+    assert not any(t.is_alive() for t in threads), "a thread did not finish"
+
+
 class TestConcurrency:
     @pytest.mark.parametrize("policy_name", ["lock", "atomic"])
     def test_no_lost_updates(self, policy_name):
@@ -44,11 +58,7 @@ class TestConcurrency:
             for _ in range(reps):
                 pol.add(target, np.ones(n))
 
-        threads = [threading.Thread(target=adder) for _ in range(nthreads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        _run_to_completion(*[adder] * nthreads)
         assert np.all(target == nthreads * reps)
 
 
@@ -71,17 +81,15 @@ class TestInterleaving:
                 pol.add(target, delta)
 
         def reader():
-            for _ in range(300):
-                snap = pol.read(target)
-                if snap.min() != snap.max():
-                    bad.append((snap.min(), snap.max()))
-            stop.set()
+            try:
+                for _ in range(300):
+                    snap = pol.read(target)
+                    if snap.min() != snap.max():
+                        bad.append((snap.min(), snap.max()))
+            finally:
+                stop.set()  # a reader that raises must not strand the writer
 
-        threads = [threading.Thread(target=writer), threading.Thread(target=reader)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        _run_to_completion(writer, reader)
         assert not bad, f"reader saw torn whole-vector updates: {bad[:3]}"
 
     def test_atomic_reader_sees_consistent_stripes(self):
@@ -100,19 +108,17 @@ class TestInterleaving:
                 pol.add(target, delta)
 
         def reader():
-            for _ in range(300):
-                snap = pol.read(target)
-                for _, a, b in pol._ranges():
-                    seg = snap[a:b]
-                    if seg.min() != seg.max():
-                        bad.append((a, b))
-            stop.set()
+            try:
+                for _ in range(300):
+                    snap = pol.read(target)
+                    for _, a, b in pol._ranges():
+                        seg = snap[a:b]
+                        if seg.min() != seg.max():
+                            bad.append((a, b))
+            finally:
+                stop.set()  # a reader that raises must not strand the writer
 
-        threads = [threading.Thread(target=writer), threading.Thread(target=reader)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        _run_to_completion(writer, reader)
         assert not bad, f"reader saw torn stripes: {bad[:3]}"
 
     def test_atomic_concurrent_adds_disjoint_slices(self):
@@ -129,15 +135,31 @@ class TestInterleaving:
             for _ in range(100):
                 pol.assign_slice(target, lo, hi, np.full(width, float(i + 1)))
 
-        threads = [
-            threading.Thread(target=assigner, args=(i,)) for i in range(nthreads)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        _run_to_completion(*[partial(assigner, i) for i in range(nthreads)])
         for i in range(nthreads):
             assert np.all(target[i * width : (i + 1) * width] == i + 1)
+
+
+class TestLocksFreedOnError:
+    """A data movement that raises leaves every stripe lock free."""
+
+    @pytest.mark.parametrize("observed", [False, True])
+    @pytest.mark.parametrize("name", ["lock", "atomic"])
+    @pytest.mark.parametrize("op", ["add", "assign_slice"])
+    def test_mismatched_shapes(self, name, op, observed):
+        pol = make_write_policy(name, 10, 4)
+        if observed:
+            pol.observer = WriteObserver()  # every hook a no-op
+        target = np.zeros(10)
+        short = np.ones(6)  # atomic: stripe 0 moves, stripe 1 raises
+        with pytest.raises(ValueError):
+            if op == "add":
+                pol.add(target, short)
+            else:
+                pol.assign_slice(target, 0, 10, short)
+        for lock in pol._locks:
+            assert lock.acquire(blocking=False)
+            lock.release()
 
 
 class TestAtomicWrite:
@@ -177,6 +199,12 @@ class TestRegistry:
         locks = [threading.Lock() for _ in range(nlocks)]
         with pytest.raises(ValueError):
             make_write_policy(name, 10, 4, locks)
+
+    @pytest.mark.parametrize("name, nlocks", [("lock", 1), ("atomic", 3), ("unsafe", 0)])
+    def test_lock_count(self, name, nlocks):
+        # The count make_write_policy accepts is the one lock_count gives.
+        assert lock_count(name, 10, 4) == nlocks
+        make_write_policy(name, 10, 4, [threading.Lock() for _ in range(nlocks)])
 
     def test_names(self):
         assert LockWrite(4).name == "lock"

@@ -4,6 +4,7 @@ tests/test_observe_integration.py."""
 
 import json
 import math
+import sys
 import threading
 
 import numpy as np
@@ -210,57 +211,74 @@ class TestTracer:
 
 
 class TestTracedPolicy:
-    def _run(self, inner):
+    def _run(self, pol):
         tr = Tracer()
         tr.register_worker(0)
-        pol = TracedPolicy(inner, tr, "x")
+        pol.observer = traced = TracedPolicy(tr, "x")
         x = np.zeros(6)
         pol.add(x, np.ones(6))
         got = pol.read(x)
         pol.add(x, np.ones(6))
         pol.assign_slice(x, 2, 4, np.full(2, 7.0))
-        return tr, pol, x, got
+        return tr, traced, x, got
 
     @pytest.mark.parametrize(
         "make", [lambda: LockWrite(6), lambda: AtomicWrite(6, stripe=2), lambda: UnsafeWrite(6)]
     )
     def test_data_movement_matches_inner(self, make):
-        tr, pol, x, got = self._run(make())
+        tr, traced, x, got = self._run(make())
         np.testing.assert_array_equal(got, np.ones(6))
         expect = np.full(6, 2.0)
         expect[2:4] = 7.0
         np.testing.assert_array_equal(x, expect)
 
     def test_epochs_and_staleness(self):
-        tr, pol, x, got = self._run(LockWrite(6))
+        tr, traced, x, got = self._run(LockWrite(6))
         evs = tr.events()
         writes = [e for e in evs if e.kind == "write" and not e.tag.endswith(":assign")]
         reads = [e for e in evs if e.kind == "read"]
         assert [w.b for w in writes] == [-1.0, 0.0]  # pre-read, then fresh
         assert reads[0].a == 1.0  # read observed epoch 1
-        assert pol.last_staleness() == 0.0
+        assert traced.last_staleness() == 0.0
         assigns = [e for e in evs if e.tag == "x:assign"]
         assert len(assigns) == 1
 
-    def test_delegates_unrecognized_policy(self):
-        calls = []
-
-        class Wrapped(UnsafeWrite):
-            def add(self, target, update):
-                calls.append("add")
-                super().add(target, update)
-
-            def assign_slice(self, target, lo, hi, values):
-                calls.append("assign")
-                super().assign_slice(target, lo, hi, values)
-
+    @pytest.mark.parametrize(
+        "make", [lambda: LockWrite(64), lambda: AtomicWrite(64, stripe=16)], ids=["lock", "atomic"]
+    )
+    def test_read_epochs_monotone_under_contention(self, make):
+        # Threads interleave read and add at a 1 µs switch interval.  The
+        # epochs come from the policy's epoch lock, so each thread's read
+        # epochs never decrease and never pass the final commit count,
+        # whatever the schedule.
+        nthreads, reps = 4, 1000
         tr = Tracer()
-        tr.register_worker(0)
-        pol = TracedPolicy(Wrapped(4), tr, "x")
-        x = np.zeros(4)
-        pol.add(x, np.ones(4))
-        pol.assign_slice(x, 0, 2, np.zeros(2))
-        assert calls == ["add", "assign"]
+        pol = make()
+        pol.observer = TracedPolicy(tr, "x")
+        x, one = np.zeros(64), np.ones(64)
+
+        def work(k):
+            tr.register_worker(k)
+            for _ in range(reps):
+                pol.read(x)
+                pol.add(x, one)
+
+        threads = [threading.Thread(target=work, args=(k,), daemon=True) for k in range(nthreads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert pol.commits == nthreads * reps
+        reads = [e for e in tr.events() if e.kind == "read"]
+        assert len(reads) == nthreads * reps
+        assert TraceAnalyzer(tr.events()).monotone_violations() == 0
+        assert max(e.a for e in reads) <= pol.commits
 
 
 class TestExporters:
