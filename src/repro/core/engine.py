@@ -33,11 +33,19 @@ Write policies:
   chunk micro-steps that interleave with other grids' steps: readers
   observe partially-committed updates (element-consistent, vector-
   inconsistent) — the full-async component mixing of Eq. 7/10.
+
+Scheduling: each micro-step runs one ready grid, drawn with probability
+proportional to its speed.  The draw bisects one ``rng.random()`` into
+the ready set's normalised cumulative weights, computed with the numpy
+operations ``Generator.choice`` uses and cached per ready set, so it
+picks what ``rng.choice(ready, p=w / w.sum())`` would pick and a seeded
+run replays bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Tuple
+import bisect
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +71,28 @@ if TYPE_CHECKING:  # runtime import would cycle through repro.observe
 __all__ = ["run_async_engine"]
 
 _WRITE = ("lock", "atomic")
+
+
+def _next_grid(
+    rng: np.random.Generator,
+    speeds: np.ndarray,
+    ready: List[int],
+    cdfs: Dict[Tuple[int, ...], List[float]],
+) -> int:
+    """The grid ``rng.choice(ready, p=w / w.sum())`` would pick, ``w =
+    speeds[ready]``: one ``rng.random()`` bisected into the cumulative
+    weights ``choice`` computes, cached per ready set in ``cdfs``."""
+    key = tuple(ready)
+    cdf = cdfs.get(key)
+    if cdf is None:
+        w = speeds[ready]
+        p = w / w.sum()
+        if (p < 0).any():
+            raise ValueError("probabilities are not non-negative")
+        c = p.cumsum()
+        c /= c[-1]
+        cdf = cdfs[key] = c.tolist()
+    return ready[bisect.bisect_right(cdf, rng.random())]
 
 
 def _grid_coroutine(
@@ -237,6 +267,9 @@ def run_async_engine(
     grd = ctx.guard
     rng = np.random.default_rng(seed)
     speeds = rng.uniform(alpha, 1.0, size=ngrids)
+    # Cumulative scheduler weights by ready set, which changes only when
+    # a grid stalls, resumes, finishes, crashes or restarts.
+    cdfs: Dict[Tuple[int, ...], List[float]] = {}
     crit = Criterion(criterion, tmax, ngrids)
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
@@ -303,8 +336,7 @@ def run_async_engine(
             # scheduler just has nothing to run).
             micro = min(stall_until[k] for k in alive)
             continue
-        w = speeds[ready]
-        k = int(rng.choice(ready, p=w / w.sum()))
+        k = _next_grid(rng, speeds, ready, cdfs)
         op = requests[k]
         g = gens[k]
         send_val = None

@@ -5,7 +5,9 @@ fast as the hardware allows"; the reproduction's hot loops should not
 spend their time rebuilding index arrays and allocating temporaries.
 This package provides the five hot kernels every executor shares —
 
-- **row-range SpMV** (the per-thread share of the global-res parfor),
+- **row-range SpMV** (the per-thread share of the global-res parfor;
+  over the full range, Multadd's prolongations and the diagonal
+  smoothers' symmetrized Lambda),
 - **row-range residual** (``(b - A x)[start:stop]``),
 - **fused diagonal (ω-/l1-)Jacobi sweep**,
 - **fused correction prolongation** (``y += ω · P @ e``),

@@ -58,7 +58,8 @@ class _DiagonalSmoother(Smoother):
     def symmetrized_apply(self, r: np.ndarray) -> np.ndarray:
         # Specialized: M^{-1}(2M - A)M^{-1} r, one SpMV + two scalings.
         y = self._dinv * r
-        return self._dinv * (2.0 * self._d * y - self.A @ y)
+        Ay = kernels.range_matvec(self.A, y, 0, self.n, out=np.empty(self.n))
+        return self._dinv * (2.0 * self._d * y - Ay)
 
     @property
     def smoothing_diagonal(self) -> np.ndarray:

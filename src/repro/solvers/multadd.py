@@ -20,6 +20,8 @@ interpolants — grid ``k``'s ``B_k``/``C_k`` in the asynchronous models.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .. import kernels
 from ..amg import Hierarchy
@@ -29,6 +31,24 @@ from .base import AdditiveMultigrid
 __all__ = ["Multadd"]
 
 _LAMBDA_MODES = ("symmetrized", "minv", "sweep")
+
+
+def _restrict(P: sp.csr_matrix, c: np.ndarray) -> np.ndarray:
+    """``P.T @ c`` without building the transposed matrix.
+
+    scipy evaluates ``P.T @ c`` as ``csc_matvec`` over ``P``'s own CSR
+    arrays (the transpose is a CSC view of them).  Calling that routine
+    directly gives the same bits without building and checking the
+    view on every call, which took longer than the product itself.
+    """
+    out = np.zeros(P.shape[1])
+    _sparsetools.csc_matvec(P.shape[1], P.shape[0], P.indptr, P.indices, P.data, c, out)
+    return out
+
+
+def _prolong(P: sp.csr_matrix, d: np.ndarray) -> np.ndarray:
+    """``P @ d`` into a fresh array, through the selected kernel backend."""
+    return kernels.range_matvec(P, d, 0, P.shape[0], out=np.empty(P.shape[0]))
 
 
 class Multadd(AdditiveMultigrid):
@@ -96,14 +116,18 @@ class Multadd(AdditiveMultigrid):
         prolongation back to the fine grid."""
         c = r
         for j in range(k):
-            c = self.P_bar[j].T @ c
+            c = _restrict(self.P_bar[j], c)
         return self.coarse(c) if k == self.hierarchy.coarsest else self._apply_lambda(k, c)
 
     def correction(self, k: int, r: np.ndarray) -> np.ndarray:
-        """``Pbar_k^0 Lambda_k (Pbar_k^0)^T r`` applied factor by factor."""
+        """``Pbar_k^0 Lambda_k (Pbar_k^0)^T r`` applied factor by factor.
+
+        Returns a fresh array: the engine commits it in chunks while
+        other grids correct.
+        """
         d = self._level_correction(k, r)
         for j in range(k - 1, -1, -1):
-            d = self.P_bar[j] @ d
+            d = _prolong(self.P_bar[j], d)
         return d
 
     def correction_into(
@@ -115,7 +139,7 @@ class Multadd(AdditiveMultigrid):
             out += d
             return out
         for j in range(k - 1, 0, -1):
-            d = self.P_bar[j] @ d
+            d = _prolong(self.P_bar[j], d)
         return kernels.prolong_add(out, self.P_bar[0], d)
 
     # ------------------------------------------------------------------

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import run_async_engine
+from repro.core import engine, run_async_engine
+from repro.resilience import parse_fault_spec
 from repro.solvers import AFACx, Multadd
 
 
@@ -143,3 +144,79 @@ class TestActivityTrace:
         res = run_async_engine(multadd, b_7pt, tmax=4, seed=0, alpha=0.3)
         out = ascii_timeline(res.activity_trace, multadd.ngrids)
         assert out.count("grid") == multadd.ngrids
+
+
+def choice_draw(rng, speeds, ready, cdfs):
+    """The scheduler draw as ``Generator.choice`` makes it."""
+    w = speeds[ready]
+    return int(rng.choice(ready, p=w / w.sum()))
+
+
+class TestSchedulerDraw:
+    """The engine's cached draw picks what ``Generator.choice`` picks."""
+
+    def test_draws_equal_choice(self):
+        aux = np.random.default_rng(11)
+        speeds = aux.uniform(0.1, 1.0, size=16)
+        # Ready sets of 9-16 grids: past 8 weights numpy's pairwise sum
+        # and a left-to-right sum part ways.
+        pool = [
+            sorted(aux.choice(16, size=m, replace=False).tolist())
+            for m in (9, 10, 11, 12, 13, 14, 15, 16)
+        ]
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        cdfs = {}
+        picks = set()
+        for i in range(12_000):
+            ready = pool[int(aux.integers(len(pool)))]
+            got = engine._next_grid(ours, speeds, ready, cdfs)
+            assert got == choice_draw(theirs, speeds, ready, None), f"draw {i}"
+            picks.add(got)
+        assert picks == set(range(16))
+        # One double per draw: the generators are still in step.
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+        sums_differ = 0
+        for ready in pool:
+            w = speeds[ready]
+            cdf = (w / w.sum()).cumsum()
+            cdf /= cdf[-1]
+            assert cdfs[tuple(ready)] == cdf.tolist()
+            sums_differ += sum(w.tolist()) != w.sum()
+        assert sums_differ > 0  # the pool tells numpy's sum from Python's
+
+    def test_draw_on_a_cumulative_weight_goes_right(self):
+        # choice searches the cumulative weights with side="right"; a
+        # uniform equal to one of them picks the next grid.
+        class Fixed:
+            def random(self):
+                return 0.25
+
+        speeds = np.array([1.0, 1.0, 2.0])
+        assert engine._next_grid(Fixed(), speeds, [0, 1, 2], {}) == 1
+
+    def test_negative_weight_raises_like_choice(self):
+        speeds = np.array([0.5, -0.2, 0.9])
+        with pytest.raises(ValueError):
+            choice_draw(np.random.default_rng(0), speeds, [0, 1, 2], None)
+        with pytest.raises(ValueError):
+            engine._next_grid(np.random.default_rng(0), speeds, [0, 1, 2], {})
+
+    def test_run_with_stall_equals_choice_run(self, monkeypatch, hier_7pt, b_7pt):
+        solver = Multadd(hier_7pt, smoother="jacobi", weight=0.9)
+        assert solver.ngrids >= 3
+        kw = dict(
+            tmax=8,
+            criterion="criterion1",
+            seed=9,
+            alpha=0.3,
+            faults=parse_fault_spec("stall:1@2,duration=60"),
+        )
+        ours = run_async_engine(solver, b_7pt, **kw)
+        assert ours.telemetry.injected_stalls == 1
+        monkeypatch.setattr(engine, "_next_grid", choice_draw)
+        theirs = run_async_engine(solver, b_7pt, **kw)
+        assert ours.activity_trace == theirs.activity_trace
+        assert np.array_equal(ours.counts, theirs.counts)
+        assert ours.micro_steps == theirs.micro_steps
+        assert ours.x.tobytes() == theirs.x.tobytes()

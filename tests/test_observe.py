@@ -15,7 +15,6 @@ from repro.core.writes import AtomicWrite, LockWrite, UnsafeWrite
 from repro.observe import (
     Counter,
     Event,
-    Gauge,
     Histogram,
     Metrics,
     TraceAnalyzer,
