@@ -22,7 +22,7 @@ from repro.core.perfmodel import MachineParams
 from repro.distributed import NetworkModel, simulate_distributed
 from repro.problems import build_problem
 from repro.solvers import Multadd
-from repro.utils import format_table, spawn_seeds
+from repro.utils import format_table, spawn_seeds, stable_seed
 
 from _common import emit
 
@@ -44,7 +44,7 @@ def test_distributed_latency_sweep(benchmark, results_dir, runs):
             per_strategy = {}
             for strategy in ("global", "local"):
                 vals = []
-                for s in spawn_seeds(hash((lat, strategy)) % 2**31, runs):
+                for s in spawn_seeds(stable_seed((lat, strategy)), runs):
                     res = simulate_distributed(
                         solver,
                         b,
@@ -124,7 +124,7 @@ def test_distributed_message_loss(benchmark, results_dir, runs):
             per_strategy = {}
             for strategy in ("global", "local"):
                 vals, lost = [], 0
-                for s in spawn_seeds(hash((drop, strategy)) % 2**31, runs):
+                for s in spawn_seeds(stable_seed((drop, strategy)), runs):
                     res = simulate_distributed(
                         solver,
                         b,

@@ -16,7 +16,7 @@ from repro.amg import SetupOptions, setup_hierarchy
 from repro.core import run_async_engine
 from repro.problems import build_problem
 from repro.solvers import AFACx, Multadd, MultiplicativeMultigrid
-from repro.utils import format_table, scaled_sizes, spawn_seeds
+from repro.utils import format_table, scaled_sizes, spawn_seeds, stable_seed
 
 from _common import emit, emit_series
 
@@ -66,7 +66,7 @@ def _run(test_set, smoother, runs):
             else:
                 vals = []
                 diverged = False
-                for s in spawn_seeds(hash((size, label)) % 2**31, runs):
+                for s in spawn_seeds(stable_seed((size, label)), runs):
                     r = run_async_engine(
                         solver,
                         p.b,

@@ -17,7 +17,7 @@ from repro.core import run_async_engine
 from repro.gmg import geometric_hierarchy
 from repro.problems import build_problem
 from repro.solvers import Multadd, MultiplicativeMultigrid
-from repro.utils import format_table, spawn_seeds
+from repro.utils import format_table, spawn_seeds, stable_seed
 
 from _common import emit
 
@@ -38,7 +38,7 @@ def test_gmg_vs_amg(benchmark, results_dir, runs):
                 run_async_engine(
                     madd, p.b, tmax=20, seed=s, alpha=0.5
                 ).rel_residual
-                for s in spawn_seeds(hash(label) % 2**31, runs)
+                for s in spawn_seeds(stable_seed(label), runs)
             ]
             rows.append(
                 [

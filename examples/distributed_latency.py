@@ -19,7 +19,7 @@ import numpy as np
 
 from repro import Multadd, SetupOptions, build_problem, setup_hierarchy
 from repro.core import ScheduleParams, simulate_full_async_residual
-from repro.utils import format_table, spawn_seeds
+from repro.utils import format_table, spawn_seeds, stable_seed
 
 
 def main() -> None:
@@ -40,7 +40,7 @@ def main() -> None:
     rows = []
     for label, deltas in scenarios.items():
         vals = []
-        for s in spawn_seeds(hash(label) % 2**31, runs):
+        for s in spawn_seeds(stable_seed(label), runs):
             res = simulate_full_async_residual(
                 solver,
                 p.b,

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro import Multadd, SetupOptions, build_problem, setup_hierarchy
 from repro.core import run_async_engine
-from repro.utils import format_table, spawn_seeds
+from repro.utils import format_table, spawn_seeds, stable_seed
 
 SMOOTHERS = (
     ("omega-Jacobi (.9)", "jacobi", {"weight": 0.9}),
@@ -42,7 +42,7 @@ def main() -> None:
         sync = solver.solve(p.b, tmax=tmax)
         async_vals = []
         diverged = False
-        for s in spawn_seeds(hash(label) % 2**31, runs):
+        for s in spawn_seeds(stable_seed(label), runs):
             res = run_async_engine(
                 solver,
                 p.b,

@@ -30,7 +30,7 @@ from .problems import (
     random_rhs,
 )
 from .smoothers import make_smoother
-from .solvers import AFACx, BPX, FCG, Multadd, MultiplicativeMultigrid, PCG
+from .solvers import AFACx, BPX, Multadd, MultiplicativeMultigrid, PCG
 from .experiments import MethodSpec, TABLE1_METHODS
 
 __version__ = "1.0.0"
@@ -50,7 +50,6 @@ __all__ = [
     "Multadd",
     "MultiplicativeMultigrid",
     "PCG",
-    "FCG",
     "MethodSpec",
     "TABLE1_METHODS",
     "__version__",

@@ -70,9 +70,6 @@ class LintReport:
     def ok(self) -> bool:
         return not self.findings and not self.parse_errors
 
-    def by_code(self, code: str) -> List[Finding]:
-        return [f for f in self.findings if f.code == code]
-
     def format(self) -> str:
         lines: List[str] = []
         for err in self.parse_errors:

@@ -95,9 +95,6 @@ class CallGraph:
     imports: Dict[str, Dict[str, str]] = field(default_factory=dict)
     """module name -> {local alias: 'target.module' or 'target.module:name'}"""
 
-    def function(self, qualname: str) -> Optional[FunctionInfo]:
-        return self.functions.get(qualname)
-
     def callees_of(self, qualname: str) -> List[CallSite]:
         return self.calls.get(qualname, [])
 

@@ -600,7 +600,9 @@ def run_procs(
     Crash faults are *real* process deaths (``os._exit``), detected by
     the supervisor via exit codes and restarted — whole process, all
     its grids re-synced from the shared iterate — through the guard's
-    restart budget.  ``telemetry.restarts`` counts those respawns.
+    restart budget.  ``telemetry.restarts`` counts those respawns.  A
+    worker that dies any other way before it reports (killed, or lost
+    while starting) is named in ``errors`` with its exit code.
     """
     check_choice("rescomp", rescomp, RESCOMP)
     check_choice("criterion", criterion, CRITERIA)
@@ -707,12 +709,19 @@ def run_procs(
                 _drain_rings(sv, tracer, cursors)
 
         sup.run(spawn, exited=lambda wid: int(sv.status[wid]) != _STATUS_RUNNING, poll=drain)
+        # A worker that died before it reported (killed, or lost while
+        # starting) left its status at running; an injected crash did too,
+        # but that is the fault plan, not an error.
+        errors = [
+            f"worker {wid}: died with exit code {p.exitcode} before reporting"
+            for wid, p in enumerate(sup.handles)
+            if p.exitcode not in (None, _CRASH_EXIT) and int(sv.status[wid]) == _STATUS_RUNNING
+        ]
         for p in sup.handles:
             if p.is_alive():  # pragma: no cover - stuck worker backstop
                 p.terminate()
                 p.join(timeout=1.0)
         drain()
-        errors: List[str] = []
         while not errq.empty():
             wid, tb = errq.get()
             errors.append(f"worker {wid}:\n{tb}")

@@ -73,19 +73,14 @@ __all__ = [
     "jacobi_sweeps",
     "prolong_add",
     "residual_norm",
-    "row_range_matvec",
-    "residual_rows",
     "plan_for",
     "clear_plans",
     "plan_cache_info",
     "RowRangePlan",
     "scratch",
     "enable_stats",
-    "stats_enabled",
     "stats",
     "stats_delta",
-    "reset_stats",
-    "register_stats",
 ]
 
 #: The five scalar hot kernels, in dispatch order (the perf bench
@@ -213,11 +208,6 @@ class _KernelStats:
                 out[kernel] = (c0 + calls, s0 + secs)
         return out
 
-    def reset(self) -> None:
-        with self._lock:
-            for d in self._shards:
-                d.clear()
-
 
 _stats = _KernelStats()
 
@@ -227,10 +217,6 @@ def enable_stats(on: bool = True) -> bool:
     prev = _stats.enabled
     _stats.enabled = bool(on)
     return prev
-
-
-def stats_enabled() -> bool:
-    return _stats.enabled
 
 
 def stats() -> Dict[str, Tuple[int, float]]:
@@ -249,28 +235,6 @@ def stats_delta(
         if calls - c0 > 0:
             out[kernel] = (calls - c0, secs - s0)
     return out
-
-
-def reset_stats() -> None:
-    _stats.reset()
-
-
-def register_stats(metrics) -> None:
-    """Register a kernel-time provider on a :class:`repro.observe.Metrics`.
-
-    Collected lazily at ``metrics.collect()`` time: one
-    ``kernels.<name>.calls`` / ``kernels.<name>.seconds`` pair per
-    kernel, plus the active backend name.
-    """
-
-    def provide() -> Dict[str, object]:
-        snap: Dict[str, object] = {"kernels.backend": current_backend()}
-        for kernel, (calls, secs) in stats().items():
-            snap[f"kernels.{kernel}.calls"] = calls
-            snap[f"kernels.{kernel}.seconds"] = secs
-        return snap
-
-    metrics.register_provider("kernels", provide)
 
 
 # ----------------------------------------------------------------------
@@ -459,43 +423,3 @@ def residual_norm(A: sp.csr_matrix, x: np.ndarray, b: np.ndarray) -> float:
         _stats.bump("residual_norm", time.perf_counter() - t0)
         return val
     return _backend.residual_norm(plan, x, b, tmp)
-
-
-# ----------------------------------------------------------------------
-# Seed-API compatibility wrappers (full-length out, zeros elsewhere)
-# ----------------------------------------------------------------------
-def row_range_matvec(
-    A: sp.csr_matrix,
-    x: np.ndarray,
-    start: int,
-    stop: int,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """``out[start:stop] = (A @ x)[start:stop]``, full-length ``out``.
-
-    The historical :func:`repro.linalg.row_range_matvec` contract.
-    When ``out`` is omitted the plan's cached full-length buffer is
-    borrowed (zero outside the range, valid until the next borrowing
-    call for the same plan) instead of allocating ``np.zeros(n)`` per
-    call; callers that keep the result must pass their own ``out``.
-    """
-    plan = plan_for(A, start, stop)
-    if out is None:
-        out = plan.out_full()
-    if stop > start:
-        range_matvec(A, x, start, stop, out=out[start:stop])
-    return out
-
-
-def residual_rows(
-    A: sp.csr_matrix,
-    x: np.ndarray,
-    b: np.ndarray,
-    start: int,
-    stop: int,
-    out: np.ndarray,
-) -> np.ndarray:
-    """``out[start:stop] = (b - A x)[start:stop]`` in place."""
-    if stop > start:
-        range_residual(A, x, b, start, stop, out=out[start:stop])
-    return out

@@ -1,8 +1,8 @@
 """Per-``(matrix, row-range)`` kernel plans.
 
-The seed implementation of :func:`repro.linalg.row_range_matvec`
-rebuilt its row-index machinery (``np.repeat(np.arange(...))``) and a
-full-length zero output vector on *every* micro-step — pure overhead
+The seed row-range SpMV rebuilt its row-index machinery
+(``np.repeat(np.arange(...))``) and a full-length zero output vector
+on *every* micro-step — pure overhead
 in the steady-state loop, where the matrix and the owned row range
 never change.  A :class:`RowRangePlan` hoists everything that depends
 only on ``(A, start, stop)`` out of the hot path:
@@ -10,7 +10,7 @@ only on ``(A, start, stop)`` out of the hot path:
 - the absolute ``indptr`` window of the range (what the CSR kernels
   index with),
 - the lazily-built local row map (only the bincount fallback needs it),
-- reusable output buffers for the ``out=None`` convenience paths.
+- a reusable output buffer for the ``out=None`` convenience path.
 
 Plans are cached per matrix *object* (``id``-keyed with a weakref
 cleanup so a collected matrix drops its plans) and validated by array
@@ -56,7 +56,6 @@ class RowRangePlan:
         "indptr_window",
         "_local_rows",
         "_out_local",
-        "_out_full",
         "__weakref__",
     )
 
@@ -77,7 +76,6 @@ class RowRangePlan:
         self.indptr_window = np.ascontiguousarray(A.indptr[start : stop + 1])
         self._local_rows: Optional[np.ndarray] = None
         self._out_local: Optional[np.ndarray] = None
-        self._out_full: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @property
@@ -116,18 +114,6 @@ class RowRangePlan:
         if self._out_local is None:
             self._out_local = np.empty(self.nrows, dtype=np.float64)
         return self._out_local
-
-    def out_full(self) -> np.ndarray:
-        """Reusable full-length output buffer, zero outside the range.
-
-        Same borrowing contract as :meth:`out_local`.  Entries outside
-        ``[start, stop)`` are zeroed once at allocation and never
-        written afterwards, so repeat borrowers see the seed
-        ``np.zeros(n)`` semantics without the per-call allocation.
-        """
-        if self._out_full is None:
-            self._out_full = np.zeros(self.n, dtype=np.float64)
-        return self._out_full
 
 
 # Plan cache: id(A) -> (weakref(A), {(start, stop): plan}).  The

@@ -3,15 +3,14 @@
 Small, self-contained kernels that the rest of the library is built on:
 
 - :mod:`repro.linalg.csr` — CSR helpers (validation, diagonals, l1 row
-  norms, row-range SpMV, residual kernels, nnz-balanced row partitioning).
-- :mod:`repro.linalg.triangular` — sparse triangular solves, including a
-  level-scheduled forward solve used by the hybrid Jacobi-Gauss-Seidel
-  smoother.
+  norms, lower triangles, nnz-balanced row partitioning).
 - :mod:`repro.linalg.norms` — norms used throughout (2-norm, A-norm,
   relative residual norm).
 - :mod:`repro.linalg.spectral` — power-method spectral-radius estimation
   and the asynchronous convergence test ``rho(|G|) < 1`` from the
   Chazan-Miranker theory referenced in the paper (Section II.C).
+
+The row-range SpMV and residual kernels live in :mod:`repro.kernels`.
 """
 
 from .csr import (
@@ -20,10 +19,6 @@ from .csr import (
     l1_row_norms,
     lower_triangle,
     partition_rows_by_nnz,
-    row_range_matvec,
-    residual,
-    residual_rows,
-    split_diag,
 )
 from .norms import a_norm, rel_residual_norm, two_norm
 from .spectral import (
@@ -32,12 +27,6 @@ from .spectral import (
     jacobi_iteration_matrix,
     is_async_convergent,
 )
-from .triangular import (
-    forward_solve,
-    backward_solve,
-    build_level_schedule,
-    level_scheduled_forward_solve,
-)
 
 __all__ = [
     "as_csr",
@@ -45,10 +34,6 @@ __all__ = [
     "l1_row_norms",
     "lower_triangle",
     "partition_rows_by_nnz",
-    "row_range_matvec",
-    "residual",
-    "residual_rows",
-    "split_diag",
     "a_norm",
     "rel_residual_norm",
     "two_norm",
@@ -56,8 +41,4 @@ __all__ = [
     "estimate_rho",
     "jacobi_iteration_matrix",
     "is_async_convergent",
-    "forward_solve",
-    "backward_solve",
-    "build_level_schedule",
-    "level_scheduled_forward_solve",
 ]

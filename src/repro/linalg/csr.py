@@ -1,11 +1,12 @@
 """CSR matrix helpers.
 
 Everything in this module operates on :class:`scipy.sparse.csr_matrix`
-(storage) but implements the *algorithmic* kernels the paper's solvers
-need ourselves: row-range SpMV (the unit of work a thread group owns in
-the shared-memory algorithms of Section IV), residual kernels, l1 row
-norms (for the l1-Jacobi smoother), and nnz-proportional row
+(storage) but implements the *algorithmic* helpers the paper's solvers
+need ourselves: l1 row norms (for the l1-Jacobi smoother), lower
+triangles (for the Gauss-Seidel smoothers), and nnz-proportional row
 partitioning (the "work"-balanced assignment of threads to grids).
+The row-range SpMV a thread group performs in the shared-memory
+algorithms of Section IV is :func:`repro.kernels.range_matvec`.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ __all__ = [
     "l1_row_norms",
     "lower_triangle",
     "partition_rows_by_nnz",
-    "row_range_matvec",
-    "residual",
-    "residual_rows",
-    "split_diag",
 ]
 
 
@@ -84,14 +81,6 @@ def l1_row_norms(A: sp.csr_matrix) -> np.ndarray:
     return np.bincount(rows, weights=np.abs(A.data), minlength=n).astype(np.float64)
 
 
-def split_diag(A: sp.csr_matrix) -> Tuple[np.ndarray, sp.csr_matrix]:
-    """Split ``A = D + R`` into its diagonal (dense vector) and remainder."""
-    A = as_csr(A)
-    d = csr_diagonal(A)
-    R = A - sp.diags(d)
-    return d, as_csr(R)
-
-
 def lower_triangle(A: sp.csr_matrix, strict: bool = False) -> sp.csr_matrix:
     """Lower-triangular part of ``A`` (including the diagonal by default).
 
@@ -134,51 +123,3 @@ def partition_rows_by_nnz(A: sp.csr_matrix, nparts: int) -> List[Tuple[int, int]
         ranges.append((a, b))
     ranges[-1] = (ranges[-1][0], n)
     return ranges
-
-
-def row_range_matvec(
-    A: sp.csr_matrix,
-    x: np.ndarray,
-    start: int,
-    stop: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """``out[start:stop] = (A @ x)[start:stop]`` without forming the rest.
-
-    The partial SpMV a thread performs for its owned row range in the
-    global-res algorithm (Algorithm 5, the no-wait GlobalParfor loop).
-
-    Dispatches through :mod:`repro.kernels`: the row-index machinery is
-    precomputed once per ``(matrix, range)`` plan, and when ``out`` is
-    omitted the plan's cached full-length buffer is *borrowed* (zero
-    outside the range, valid until the next borrowing call for the same
-    plan) instead of allocating a fresh ``np.zeros(n)`` per call.
-    Callers that keep the result across calls must pass their own
-    ``out``.
-    """
-    from .. import kernels
-
-    return kernels.row_range_matvec(A, x, start, stop, out=out)
-
-
-def residual(A: sp.csr_matrix, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Fine-grid residual ``r = b - A x``."""
-    return b - A @ x
-
-
-def residual_rows(
-    A: sp.csr_matrix,
-    x: np.ndarray,
-    b: np.ndarray,
-    start: int,
-    stop: int,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Update ``out[start:stop] = (b - A x)[start:stop]`` in place.
-
-    The per-thread slice of the global residual update in global-res
-    (fused product-and-subtract through :mod:`repro.kernels`).
-    """
-    from .. import kernels
-
-    return kernels.residual_rows(A, x, b, start, stop, out)

@@ -213,10 +213,6 @@ class Tracer:
         self._worker_pids[worker] = int(pid)
         self.buffer(worker)
 
-    def worker_pids(self) -> Dict[WorkerKey, int]:
-        """Snapshot of the worker-key → OS pid registry."""
-        return dict(self._worker_pids)
-
     def buffers(self) -> Dict[WorkerKey, TraceBuffer]:
         """Live view of the per-worker buffers, for *sampling* readers
         (the snapshot collector).  Treat as read-only; iterate over

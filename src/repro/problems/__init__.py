@@ -17,11 +17,6 @@ names so benchmarks read like the paper's tables.
 """
 
 from .stencils import laplacian_5pt, laplacian_7pt, laplacian_27pt
-from .hard_stencils import (
-    anisotropic_laplacian_3d,
-    convection_diffusion_3d,
-    shifted_laplacian_3d,
-)
 from .rhs import random_rhs
 from .registry import TEST_SETS, TestProblem, build_problem
 
@@ -29,9 +24,6 @@ __all__ = [
     "laplacian_5pt",
     "laplacian_7pt",
     "laplacian_27pt",
-    "anisotropic_laplacian_3d",
-    "convection_diffusion_3d",
-    "shifted_laplacian_3d",
     "random_rhs",
     "TEST_SETS",
     "TestProblem",

@@ -27,7 +27,6 @@ from .bpx import BPX
 from .multadd import Multadd
 from .afacx import AFACx
 from .pcg import PCG
-from .fcg import FCG
 
 __all__ = [
     "AdditiveMultigrid",
@@ -38,5 +37,4 @@ __all__ = [
     "Multadd",
     "AFACx",
     "PCG",
-    "FCG",
 ]

@@ -135,14 +135,20 @@ class TestBackendParity:
         assert np.array_equal(y, x)
         assert y is not x  # caller owns a fresh vector
 
-    def test_seed_wrapper_row_range_matvec(self, problem):
-        A, x, _, _ = _operands(problem)
+    def test_partial_row_ranges_match_operator(self, problem):
+        kernels.use("numpy")  # bitwise to scipy; numba agrees to 1e-14
+        A, x, b, _ = _operands(problem)
         n = A.shape[0]
-        lo, hi = 3, n - 7
-        full = kernels.row_range_matvec(A, x, lo, hi)
-        expect = np.zeros(n)
-        expect[lo:hi] = (A @ x)[lo:hi]
-        assert np.array_equal(full, expect)
+        for lo, hi in [(3, n - 7), (20, 60)]:
+            mv = kernels.range_matvec(A, x, lo, hi, out=np.empty(hi - lo))
+            assert np.array_equal(mv, (A @ x)[lo:hi])
+            rs = kernels.range_residual(A, x, b, lo, hi, out=np.empty(hi - lo))
+            assert np.array_equal(rs, (b - A @ x)[lo:hi])
+        # a row with no stored entries yields zero
+        E = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        assert np.array_equal(kernels.range_matvec(E, np.array([2.0, 3.0]), 0, 2), [2.0, 0.0])
+        with pytest.raises(ValueError, match="bad row range"):
+            kernels.range_matvec(A, x, 10, 5)
 
 
 class TestBlockedKernels:

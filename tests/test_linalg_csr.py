@@ -10,10 +10,6 @@ from repro.linalg import (
     l1_row_norms,
     lower_triangle,
     partition_rows_by_nnz,
-    residual,
-    residual_rows,
-    row_range_matvec,
-    split_diag,
 )
 
 
@@ -75,16 +71,6 @@ class TestL1RowNorms:
         assert np.allclose(l1_row_norms(M), [3.0, 3.0])
 
 
-class TestSplitDiag:
-    def test_reassembles(self, A_7pt):
-        d, R = split_diag(A_7pt)
-        assert np.allclose((sp.diags(d) + R - A_7pt).data, 0.0)
-
-    def test_remainder_has_no_diagonal(self, A_7pt):
-        _, R = split_diag(A_7pt)
-        assert np.allclose(R.diagonal(), 0.0)
-
-
 class TestLowerTriangle:
     def test_inclusive(self, A_7pt):
         L = lower_triangle(A_7pt)
@@ -122,50 +108,3 @@ class TestPartitionRows:
     def test_invalid_nparts(self, A_7pt):
         with pytest.raises(ValueError):
             partition_rows_by_nnz(A_7pt, 0)
-
-
-class TestRowRangeMatvec:
-    def test_matches_full(self, A_7pt):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(A_7pt.shape[0])
-        full = A_7pt @ x
-        out = row_range_matvec(A_7pt, x, 10, 100)
-        assert np.allclose(out[10:100], full[10:100])
-        assert np.allclose(out[:10], 0.0)
-        assert np.allclose(out[100:], 0.0)
-
-    def test_empty_range(self, A_7pt):
-        x = np.ones(A_7pt.shape[0])
-        out = row_range_matvec(A_7pt, x, 5, 5)
-        assert np.allclose(out, 0.0)
-
-    def test_into_existing_out(self, A_7pt):
-        x = np.ones(A_7pt.shape[0])
-        out = np.full(A_7pt.shape[0], -1.0)
-        row_range_matvec(A_7pt, x, 0, 3, out=out)
-        assert np.allclose(out[3:], -1.0)
-
-    def test_bad_range_raises(self, A_7pt):
-        with pytest.raises(ValueError):
-            row_range_matvec(A_7pt, np.ones(A_7pt.shape[0]), 10, 5)
-
-    def test_rows_with_empty_row(self):
-        A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        out = row_range_matvec(A, np.array([2.0, 3.0]), 0, 2)
-        assert np.allclose(out, [2.0, 0.0])
-
-
-class TestResidual:
-    def test_zero_at_solution(self, A_7pt):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(A_7pt.shape[0])
-        b = A_7pt @ x
-        assert np.allclose(residual(A_7pt, x, b), 0.0)
-
-    def test_residual_rows_slice(self, A_7pt, b_7pt):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(A_7pt.shape[0])
-        full = b_7pt - A_7pt @ x
-        out = np.zeros(A_7pt.shape[0])
-        residual_rows(A_7pt, x, b_7pt, 20, 60, out)
-        assert np.allclose(out[20:60], full[20:60])

@@ -12,13 +12,16 @@ Covers the backend's four contracts:
 - **fault tolerance** — a real process death (``os._exit``) is detected
   by the supervisor, restarted through the guard budget with replica
   re-sync, and lands in the merged telemetry; without a guard the run
-  degrades to ``stalled`` instead of hanging.
+  degrades to ``stalled`` instead of hanging, and a worker that dies
+  before it reports is named in ``errors`` with its exit code.
 - **clean shutdown** — the parent unlinks the one shared segment exactly
   once; runs leak neither ``ResourceWarning`` nor ``/dev/shm`` entries.
 """
 
+import dataclasses
 import glob
 import multiprocessing as mp
+import os
 import pickle
 import time
 import warnings
@@ -26,9 +29,11 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.amg import setup_hierarchy
 from repro.core import run_async_engine, run_procs, SetupBundle, SharedVectors
 from repro.core.parallel import _Layout, _assign_grids, _make_locks
 from repro.core.writes import make_write_policy
+from repro.problems import build_problem
 from repro.resilience import GuardPolicy, parse_fault_spec
 from repro.solvers import Multadd
 
@@ -167,6 +172,32 @@ class TestCrashRestart:
         assert not res.errors
         assert res.stalled  # dead worker, no restart budget: degrade, don't hang
         assert res.telemetry.restarts == 0
+
+    def test_death_while_starting_is_named(self, monkeypatch):
+        """A worker that dies while unpickling its bundle never reports;
+        the run must still end within its timeout, stalled, with an
+        error naming the worker and its exit code."""
+        real = SetupBundle.from_solver
+
+        def poisoned(solver):
+            bundle = real(solver)
+            return dataclasses.replace(bundle, extra={**bundle.extra, "poison": _ExitOnLoad()})
+
+        monkeypatch.setattr(SetupBundle, "from_solver", poisoned)
+        p = build_problem("7pt", 4, rhs_seed=0)
+        solver = Multadd(setup_hierarchy(p.A), smoother="jacobi", weight=0.9)
+        t0 = time.monotonic()
+        res = run_procs(solver, p.b, tmax=8, workers=1, timeout=10.0)
+        assert time.monotonic() - t0 < 10.0
+        assert res.stalled
+        assert any("worker 0" in e and "exit code 3" in e for e in res.errors), res.errors
+
+
+class _ExitOnLoad:
+    """Unpickles as ``os._exit(3)``: a worker that dies before it reports."""
+
+    def __reduce__(self):
+        return os._exit, (3,)
 
 
 def _rewrite(name, layout, write, stripe, locks, values):

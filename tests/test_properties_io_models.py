@@ -1,47 +1,7 @@
-"""Property-based tests: serialization round-trips and model invariants."""
+"""Property-based tests: asynchronous-model invariants."""
 
 import numpy as np
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
-
-from repro.io import read_matrix_market, write_matrix_market
-from repro.io.serialize import _pack_csr, _unpack_csr
-
-
-@st.composite
-def random_sparse(draw, max_n=20):
-    n = draw(st.integers(1, max_n))
-    m = draw(st.integers(1, max_n))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    dense = rng.standard_normal((n, m))
-    dense[rng.uniform(size=(n, m)) < 0.6] = 0.0
-    return sp.csr_matrix(dense)
-
-
-class TestSerializationProperties:
-    @given(random_sparse())
-    @settings(max_examples=40, deadline=None)
-    def test_csr_pack_roundtrip(self, M):
-        blob = {}
-        _pack_csr("X", M, blob)
-        M2 = _unpack_csr("X", blob)
-        assert (M != M2).nnz == 0
-
-    @given(random_sparse())
-    @settings(max_examples=25, deadline=None)
-    def test_matrix_market_roundtrip(self, M):
-        import tempfile
-        from pathlib import Path
-
-        with tempfile.TemporaryDirectory() as d:
-            f = Path(d) / "m.mtx"
-            write_matrix_market(f, M)
-            M2 = read_matrix_market(f)
-            assert M2.shape == M.shape
-            if M.nnz:
-                assert abs(M - M2).max() < 1e-14
-            else:
-                assert M2.nnz == 0
 
 
 class TestModelInvariantsProperty:

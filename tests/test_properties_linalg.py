@@ -5,11 +5,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro import kernels
 from repro.linalg import (
     as_csr,
     l1_row_norms,
     partition_rows_by_nnz,
-    row_range_matvec,
     two_norm,
 )
 from repro.partition import largest_remainder, partition_threads
@@ -55,14 +55,17 @@ class TestCsrProperties:
 
     @given(sparse_matrices(), st.data())
     @settings(max_examples=30, deadline=None)
-    def test_row_range_matvec_consistent(self, A, data):
+    def test_range_kernels_consistent(self, A, data):
         n = A.shape[0]
         lo = data.draw(st.integers(0, n))
         hi = data.draw(st.integers(lo, n))
         rng = np.random.default_rng(0)
         x = rng.standard_normal(n)
-        out = row_range_matvec(A, x, lo, hi)
-        assert np.allclose(out[lo:hi], (A @ x)[lo:hi])
+        b = rng.standard_normal(n)
+        mv = kernels.range_matvec(A, x, lo, hi, out=np.empty(hi - lo))
+        assert np.allclose(mv, (A @ x)[lo:hi])
+        rs = kernels.range_residual(A, x, b, lo, hi, out=np.empty(hi - lo))
+        assert np.allclose(rs, (b - A @ x)[lo:hi])
 
     @given(
         hnp.arrays(

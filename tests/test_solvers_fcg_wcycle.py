@@ -1,9 +1,9 @@
-"""Unit tests for FCG and W/F-cycles (extensions)."""
+"""Unit tests for W/F-cycles (extensions)."""
 
 import numpy as np
 import pytest
 
-from repro.solvers import FCG, Multadd, MultiplicativeMultigrid, PCG
+from repro.solvers import MultiplicativeMultigrid
 
 
 class TestWFCycles:
@@ -31,45 +31,3 @@ class TestWFCycles:
     def test_invalid_gamma(self, hier_7pt):
         with pytest.raises(ValueError):
             MultiplicativeMultigrid(hier_7pt, gamma=0)
-
-
-class TestFCG:
-    def test_plain_fcg_matches_cg_on_fixed_precond(self, A_7pt, b_7pt):
-        # With a fixed SPD preconditioner FCG and PCG should take a
-        # comparable number of iterations.
-        d = A_7pt.diagonal()
-        precond = lambda r: r / d  # noqa: E731
-        fcg = FCG(A_7pt, precond).solve(b_7pt, tol=1e-8, maxiter=1000)
-        pcg = PCG(A_7pt, precond).solve(b_7pt, tol=1e-8, maxiter=1000)
-        assert fcg.final_relres < 1e-8
-        assert abs(fcg.cycles - pcg.cycles) <= max(3, 0.2 * pcg.cycles)
-
-    def test_async_preconditioner_converges(self, hier_7pt_agg, b_7pt):
-        ma = Multadd(hier_7pt_agg, smoother="jacobi", weight=0.9)
-        fcg = FCG.with_async_preconditioner(ma, tmax=1, alpha=0.5, seed=0)
-        res = fcg.solve(b_7pt, tol=1e-9, maxiter=100)
-        assert res.final_relres < 1e-9
-        assert res.cycles < 30
-
-    def test_async_preconditioner_beats_unpreconditioned(self, hier_7pt_agg, b_7pt, A_7pt):
-        ma = Multadd(hier_7pt_agg, smoother="jacobi", weight=0.9)
-        fcg = FCG.with_async_preconditioner(ma, tmax=1, seed=1)
-        plain = FCG(A_7pt).solve(b_7pt, tol=1e-8, maxiter=2000)
-        pre = fcg.solve(b_7pt, tol=1e-8, maxiter=200)
-        assert pre.cycles < plain.cycles
-
-    def test_varying_preconditioner_changes_runs(self, hier_7pt_agg, b_7pt):
-        # Different seeds => different schedules => (slightly)
-        # different iteration paths — the flexibility being exercised.
-        ma = Multadd(hier_7pt_agg, smoother="jacobi", weight=0.9)
-        r1 = FCG.with_async_preconditioner(ma, seed=1, alpha=0.2).solve(b_7pt, tol=1e-10)
-        r2 = FCG.with_async_preconditioner(ma, seed=2, alpha=0.2).solve(b_7pt, tol=1e-10)
-        assert r1.residual_history != r2.residual_history
-
-    def test_invalid_mmax(self, A_7pt):
-        with pytest.raises(ValueError):
-            FCG(A_7pt, mmax=0)
-
-    def test_maxiter_respected(self, A_7pt, b_7pt):
-        res = FCG(A_7pt).solve(b_7pt, tol=1e-16, maxiter=4)
-        assert res.cycles == 4
