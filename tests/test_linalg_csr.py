@@ -1,9 +1,11 @@
-"""Unit tests for repro.linalg.csr."""
+"""Unit tests for repro.linalg.csr, and for the row-range kernels of
+repro.kernels on the same CSR matrices."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro import kernels
 from repro.linalg import (
     as_csr,
     csr_diagonal,
@@ -108,3 +110,40 @@ class TestPartitionRows:
     def test_invalid_nparts(self, A_7pt):
         with pytest.raises(ValueError):
             partition_rows_by_nnz(A_7pt, 0)
+
+
+class TestRowRangeMatvec:
+    def test_matches_full(self, A_7pt):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(A_7pt.shape[0])
+        out = kernels.range_matvec(A_7pt, x, 10, 100, out=np.empty(90))
+        assert np.allclose(out, (A_7pt @ x)[10:100])
+
+    def test_empty_range(self, A_7pt):
+        x = np.ones(A_7pt.shape[0])
+        out = kernels.range_matvec(A_7pt, x, 5, 5)
+        assert out.shape == (0,)
+
+    def test_bad_range_raises(self, A_7pt):
+        with pytest.raises(ValueError, match="bad row range"):
+            kernels.range_matvec(A_7pt, np.ones(A_7pt.shape[0]), 10, 5)
+
+    def test_rows_with_empty_row(self):
+        A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        out = kernels.range_matvec(A, np.array([2.0, 3.0]), 0, 2)
+        assert np.array_equal(out, [2.0, 0.0])
+
+
+class TestResidual:
+    def test_zero_at_solution(self, A_7pt):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(A_7pt.shape[0])
+        b = A_7pt @ x
+        n = A_7pt.shape[0]
+        assert np.allclose(kernels.range_residual(A_7pt, x, b, 0, n), 0.0)
+
+    def test_residual_rows_slice(self, A_7pt, b_7pt):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(A_7pt.shape[0])
+        out = kernels.range_residual(A_7pt, x, b_7pt, 20, 60, out=np.empty(40))
+        assert np.allclose(out, (b_7pt - A_7pt @ x)[20:60])
