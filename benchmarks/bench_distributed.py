@@ -112,8 +112,10 @@ def test_distributed_message_loss(benchmark, results_dir, runs):
     """Loss tolerance: asynchronous methods never deadlock on drops.
 
     A lost message permanently stales the receivers' replicas; the cost
-    is accuracy per correction budget, growing with the loss rate —
-    but the iteration keeps making progress (nothing ever waits).
+    is accuracy per correction budget.  Any loss costs both strategies
+    accuracy, and local-res loses more as the loss rate rises;
+    global-res's cost is not monotone in the rate at this budget.  The
+    iteration keeps making progress either way (nothing ever waits).
     """
 
     def run():
@@ -158,6 +160,9 @@ def test_distributed_message_loss(benchmark, results_dir, runs):
             title="Distributed study: message loss vs relres after 20 corrections/grid",
         ),
     )
-    # Monotone degradation, no blow-up.
-    assert rows[0][1] <= rows[-1][1]
+    # Every lossy row is worse than the lossless one for both
+    # strategies; only local-res degrades monotonically.  No blow-up.
+    lossless, lossy = rows[0], rows[1:]
+    assert all(r[1] > lossless[1] and r[2] > lossless[2] for r in lossy)
+    assert all(a[2] <= b[2] for a, b in zip(rows, rows[1:]))
     assert all(np.isfinite(r[1]) and np.isfinite(r[2]) for r in rows)

@@ -15,7 +15,7 @@ from repro.amg import SetupOptions, setup_hierarchy
 from repro.core import ScheduleParams, simulate_semi_async
 from repro.problems import build_problem
 from repro.solvers import AFACx, Multadd
-from repro.utils import format_table, scaled_sizes, spawn_seeds
+from repro.utils import format_table, scaled_sizes, spawn_seeds, stable_seed
 
 from _common import emit, emit_series
 
@@ -37,7 +37,7 @@ def _run(solver_cls, runs, **solver_kw):
         row = [size, p.n, sync]
         for alpha in ALPHAS:
             vals = []
-            for s in spawn_seeds(hash((size, alpha)) % 2**31, runs):
+            for s in spawn_seeds(stable_seed((size, alpha)), runs):
                 sim = simulate_semi_async(
                     solver,
                     p.b,

@@ -19,7 +19,7 @@ from repro.core import (
 )
 from repro.problems import build_problem
 from repro.solvers import AFACx, Multadd
-from repro.utils import format_table, scaled_sizes, spawn_seeds
+from repro.utils import format_table, scaled_sizes, spawn_seeds, stable_seed
 
 from _common import emit, emit_series
 
@@ -41,7 +41,7 @@ def _run(solver_cls, simulate, runs):
         row = [size, p.n, sync]
         for delta in DELTAS:
             vals = []
-            for s in spawn_seeds(hash((size, delta)) % 2**31, runs):
+            for s in spawn_seeds(stable_seed((size, delta)), runs):
                 sim = simulate(
                     solver,
                     p.b,
@@ -71,7 +71,7 @@ def test_fig2_full_async_solution_multadd(benchmark, results_dir, runs):
             title="Fig 2 (Multadd, solution-based): full-async relres after 20 V-cycles",
         ),
     )
-    # delta ladder: delta=0 at least as good as delta=16 on average.
+    # delta ladder: delta=0 at least as good as delta=8 on average.
     assert np.mean([r[3] for r in rows]) <= np.mean([r[-1] for r in rows]) * 1.5
 
 

@@ -13,9 +13,6 @@ Commands
 ``top``      Refreshing terminal view of a running or replayed solve,
              fed by the ``--snapshots`` JSONL stream of a live solve
              (see :mod:`repro.observe.live`).
-``bench``    Kernel-layer performance bench: per-kernel and end-to-end
-             timings per backend, emitted as schema-versioned
-             ``BENCH_perf.json`` (see :mod:`repro.kernels.bench`).
 
 Examples
 --------
@@ -36,7 +33,6 @@ Examples
         --tmax 10 --out run.jsonl
     python -m repro trace report run.jsonl --delta 8
     python -m repro trace export run.jsonl --chrome run.chrome.json
-    python -m repro bench --quick --out BENCH_perf.json
     python -m repro solve --set 5pt --size 64 --run-async --kernels numpy
     python -m repro solve --set 7pt --size 10 --run-async --backend threaded \\
         --tmax 200 --live --metrics-port 9464 --snapshots live.jsonl
@@ -478,11 +474,11 @@ def _add_solve_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--kernels",
-        choices=("auto", "numpy", "numba", "naive", "off"),
+        choices=("auto", "numpy", "numba"),
         default=None,
         metavar="BACKEND",
         help="select the repro.kernels backend for this run "
-        "(auto/numpy/numba/naive; default: keep the REPRO_KERNELS "
+        "(auto/numpy/numba; default: keep the REPRO_KERNELS "
         "environment selection)",
     )
     p.add_argument(
@@ -554,40 +550,6 @@ def _add_solve_args(p: argparse.ArgumentParser) -> None:
         help="comma-separated alert kinds that abort the run early "
         "(e.g. 'divergence,stagnation'); requires --live",
     )
-
-
-def _cmd_bench(args) -> int:
-    from .kernels.bench import format_report, run_bench
-
-    backends = None
-    if args.backends:
-        backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-        unknown = [
-            b for b in backends
-            if kernels._ALIASES.get(b, b) not in kernels._KNOWN
-        ]
-        if unknown:
-            print(f"error: unknown kernel backend(s): {', '.join(unknown)}",
-                  file=sys.stderr)
-            return 2
-    payload = run_bench(
-        quick=args.quick,
-        backends=backends,
-        out=args.out,
-        size=args.size,
-        seed=args.seed,
-    )
-    print(format_report(payload))
-    if args.out:
-        print(f"wrote {args.out}")
-    missing = payload["backends"]["missing"]  # type: ignore[index]
-    if missing:
-        print(
-            f"note: requested backend(s) not importable here and NOT "
-            f"measured: {', '.join(missing)} "
-            f"(install the [perf] extra for numba)"
-        )
-    return 0
 
 
 def _cmd_trace_run(args) -> int:
@@ -961,38 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
         "new snapshot (default: 10)",
     )
     p.set_defaults(func=_cmd_top)
-
-    p = sub.add_parser(
-        "bench",
-        help="kernel-layer perf bench; writes schema-versioned "
-        "BENCH_perf.json (repro.kernels.bench)",
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: smaller problem, fewer repetitions",
-    )
-    p.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the JSON payload here (e.g. BENCH_perf.json)",
-    )
-    p.add_argument(
-        "--size",
-        type=int,
-        default=None,
-        help="5pt grid length (default: 256, or 64 with --quick)",
-    )
-    p.add_argument(
-        "--backends",
-        default=None,
-        metavar="LIST",
-        help="comma-separated backends to measure (default: all "
-        "importable); unimportable ones are reported as missing",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "serve",

@@ -13,21 +13,19 @@ This package provides the five hot kernels every executor shares —
 - **fused correction prolongation** (``y += ω · P @ e``),
 - **residual norm** (``||b - A x||_2`` without a persistent temporary)
 
-— behind one dispatch point with three backends:
+— behind one dispatch point with two backends:
 
 ``numpy``
     Default; allocation-free plan-driven kernels on scipy's compiled
-    CSR routines.  Bit-identical to the seed code paths.
+    CSR routines.  Bit-identical to the seed code paths, which the
+    tests keep as their reference.
 ``numba``
     JIT loops, auto-detected (import-gated); fastest, agrees with
     ``numpy`` to 1e-14 relative but not bitwise.
-``naive`` (alias ``off``)
-    The seed implementation kept verbatim as the reference.
 
 Selection: the ``REPRO_KERNELS`` environment variable at import time
-(``numpy`` / ``numba`` / ``naive`` / ``off`` / ``auto``), or
-:func:`use` at runtime.  ``auto`` picks numba when importable, else
-numpy.
+(``numpy`` / ``numba`` / ``auto``), or :func:`use` at runtime.
+``auto`` picks numba when importable, else numpy.
 
 Setup-phase artifacts (AMG hierarchies, smoothed interpolants) are
 memoized separately in :mod:`repro.kernels.setupcache`; per-``(matrix,
@@ -83,9 +81,9 @@ __all__ = [
     "stats_delta",
 ]
 
-#: The five scalar hot kernels, in dispatch order (the perf bench
-#: sweeps exactly these; the blocked multi-RHS variants below are
-#: dispatched and timed under their own names).
+#: The five scalar hot kernels, in dispatch order (the benchmark
+#: suite reports the calls and seconds of each; the blocked multi-RHS
+#: variants below are dispatched and timed under their own names).
 KERNEL_NAMES: Tuple[str, ...] = (
     "range_matvec",
     "range_residual",
@@ -111,10 +109,6 @@ def _load_backend(name: str) -> ModuleType:
         from .backends import numpy_backend
 
         return numpy_backend
-    if name == "naive":
-        from .backends import naive
-
-        return naive
     if name == "numba":
         from .backends import numba_backend  # raises ImportError without numba
 
@@ -122,33 +116,27 @@ def _load_backend(name: str) -> ModuleType:
     raise ValueError(f"unknown kernel backend {name!r}; known: {_KNOWN}")
 
 
-_KNOWN = ("numpy", "numba", "naive")
-_ALIASES = {"off": "naive", "auto": "auto"}
+_KNOWN = ("numpy", "numba")
 _backend: ModuleType
 
 
 def available_backends() -> Tuple[str, ...]:
     """Backends importable in this environment (numba is optional)."""
-    names: List[str] = ["numpy", "naive"]
     try:
         _load_backend("numba")
     except ImportError:
-        pass
-    else:
-        names.insert(1, "numba")
-    return tuple(names)
+        return ("numpy",)
+    return ("numpy", "numba")
 
 
 def use(name: str = "auto") -> str:
     """Select the kernel backend; returns the resolved backend name.
 
     ``"auto"`` resolves to numba when importable, else numpy.
-    ``"off"`` is an alias for the ``naive`` reference backend.
     Selection is process-global; switching mid-run is supported (the
     kernels are stateless beyond the shared, backend-agnostic plans).
     """
     global _backend
-    name = _ALIASES.get(name, name)
     if name == "auto":
         try:
             _backend = _load_backend("numba")
@@ -160,7 +148,7 @@ def use(name: str = "auto") -> str:
 
 
 def current_backend() -> str:
-    """Name of the active backend (``numpy`` / ``numba`` / ``naive``)."""
+    """Name of the active backend (``numpy`` / ``numba``)."""
     return _backend.name
 
 

@@ -15,10 +15,10 @@ acquisition and statistics):
 
 Backends:
 
-- ``naive`` — the seed code paths, kept verbatim as the bit-exact
-  reference (and the ``REPRO_KERNELS=off`` escape hatch).
 - ``numpy`` — allocation-free plan-driven kernels on scipy's compiled
-  CSR routines; bit-identical to ``naive`` (same operation order).
+  CSR routines; bit-identical to the seed code paths (same operation
+  order), which ``tests/kernels_reference.py`` keeps verbatim behind
+  this same interface as the parity tests' reference.
 - ``numba`` — JIT-compiled loops; available only when numba imports,
   agrees with ``numpy`` to tight floating-point tolerance (1e-14
   relative) but not bitwise (different reduction code).

@@ -7,11 +7,12 @@ so a row-range product touches only the owned rows and writes into a
 caller/plan buffer — no full-length zero vector, no per-call
 ``np.repeat``, no Python-level reduction.
 
-Bit-identity with the ``naive`` reference is by construction: both
-paths form the per-entry products with the same operands and
-accumulate each row strictly left to right from zero, and the fused
-epilogues (`rhs - Ax`, `dinv *`, `+=`) perform the same elementwise
-operations in the same order the seed expressions did.
+Bit-identity with the seed kernels, which the tests keep as their
+reference, is by construction: both paths form the per-entry products
+with the same operands and accumulate each row strictly left to right
+from zero, and the fused epilogues (`rhs - Ax`, `dinv *`, `+=`)
+perform the same elementwise operations in the same order the seed
+expressions did.
 
 ``csr_matvec`` *accumulates* (``y += A x``), so every product below
 zero-fills its target first; the helper degrades to a bincount

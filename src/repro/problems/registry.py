@@ -5,8 +5,9 @@ Benchmarks refer to problems by the paper's names (``7pt``, ``27pt``,
 registry also records the smoother weight each set uses in Table I
 (omega = .9 for the stencil sets, .5 for the FEM sets) so benchmark
 code does not hard-code paper constants in multiple places.  The 2-D
-``5pt`` set is not in the paper's Table I; it is the kernel-benchmark
-workhorse (``repro bench`` runs it at grid length 256).
+``5pt`` set is not in the paper's Table I; it is the benchmark
+suite's workhorse (its cold and warm solves run it at grid length
+96).
 """
 
 from __future__ import annotations

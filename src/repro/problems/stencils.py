@@ -75,9 +75,8 @@ def laplacian_5pt(n: int) -> sp.csr_matrix:
     """5-point 2-D Laplacian on an ``n^2`` interior grid (Dirichlet).
 
     The standard centred-difference stencil ``[-1; -1, 4, -1; -1]`` —
-    the benchmark workhorse for kernel timing (``n = 256`` gives 65,536
-    rows, large enough that SpMV dominates without the 3-D sets'
-    setup cost).
+    the benchmark suite's workhorse (``n = 96`` gives 9,216 rows, large
+    enough that SpMV dominates without the 3-D sets' setup cost).
     """
     K = laplacian_1d(n)
     eye = sp.identity(n, format="csr")

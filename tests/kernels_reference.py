@@ -1,14 +1,13 @@
-"""The ``naive`` backend — the seed implementation, kept as reference.
+"""The seed kernels, kept as the tests' bit-exact reference.
 
 These are the pre-kernel-layer code paths, preserved verbatim (modulo
-routing) so that
-
-- ``REPRO_KERNELS=off`` reproduces the original allocation behaviour
-  exactly, and
-- the backend-parity suite can assert that the optimized ``numpy``
-  backend is *bit-identical* to what the repo shipped before the
-  kernel layer existed (same products, same left-to-right accumulation
-  per row).
+routing) behind the backend interface of :mod:`repro.kernels.backends`,
+so that the backend-parity tests can assert that the optimized
+``numpy`` backend is *bit-identical* to what the repo shipped before
+the kernel layer existed (same products, same left-to-right
+accumulation per row).  The tests install this module as the active
+backend by swapping ``repro.kernels._backend``; a run under it reports
+``kernel_backend == "naive"``.  Nothing in ``src/`` imports it.
 
 Nothing here consults the plan's precomputed machinery beyond the raw
 CSR arrays — the ``np.repeat``/``np.zeros`` per call is the point.
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..plans import RowRangePlan
+from repro.kernels.plans import RowRangePlan
 
 __all__ = [
     "range_matvec",

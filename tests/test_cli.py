@@ -15,6 +15,13 @@ class TestParser:
         assert args.test_set == "7pt"
         assert args.method == "multadd"
 
+    @pytest.mark.parametrize("name", ["naive", "off"])
+    def test_kernels_rejects_the_test_reference(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--set", "7pt", "--size", "4", "--kernels", name])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_setup(self, capsys):

@@ -3,17 +3,21 @@
 Covers the three contracts the layer is built on:
 
 - **backend parity** — the optimized ``numpy`` backend is bit-identical
-  to the ``naive`` seed reference on all five kernels; the optional
-  ``numba`` backend agrees to 1e-14 relative (it reorders row sums).
+  to the seed kernels (``kernels_reference``, named ``naive``) on all
+  five kernels; the optional ``numba`` backend agrees to 1e-14 relative
+  (it reorders row sums).  The reference is not a selectable backend:
+  the ``seed_kernels`` fixture installs it for one test and restores
+  the previous backend afterwards.
 - **plan cache** — per-``(matrix, row-range)`` plans are reused, see
   in-place value edits for free, and are invalidated when the matrix's
   structure (its CSR arrays) is replaced.
 - **run-level determinism** — seeded async engine traces are
-  bit-identical whether kernels run through the ``naive`` reference
-  or the ``numpy`` backend, and the setup cache returns the same
-  hierarchy object for equal matrices.
+  bit-identical whether kernels run through the seed reference or the
+  ``numpy`` backend, and the setup cache returns the same hierarchy
+  object for equal matrices.
 """
 
+import kernels_reference
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -38,6 +42,16 @@ def _restore_backend():
     yield
     kernels.use(prev)
     kernels.clear_plans()
+
+
+@pytest.fixture()
+def seed_kernels(monkeypatch):
+    """Route ``repro.kernels`` through the seed reference for one test.
+
+    A test fake, not a backend option: it swaps the private
+    ``kernels._backend`` and monkeypatch restores it at teardown.
+    """
+    monkeypatch.setattr(kernels, "_backend", kernels_reference)
 
 
 @pytest.fixture()
@@ -72,14 +86,18 @@ def _run_all_kernels(problem):
 
 
 class TestBackendSelection:
-    def test_available_always_has_numpy_and_naive(self):
+    def test_available_has_numpy_and_not_the_reference(self):
         avail = kernels.available_backends()
-        assert "numpy" in avail and "naive" in avail
+        assert "numpy" in avail
+        assert "naive" not in avail and "off" not in avail
 
     def test_use_returns_resolved_name(self):
         assert kernels.use("numpy") == "numpy"
         assert kernels.current_backend() == "numpy"
-        assert kernels.use("off") == "naive"
+        for name in ("naive", "off"):  # the seed reference is a test fake
+            with pytest.raises(ValueError, match="unknown kernel backend"):
+                kernels.use(name)
+        assert kernels.current_backend() == "numpy"
 
     def test_auto_resolves(self):
         resolved = kernels.use("auto")
@@ -96,9 +114,8 @@ class TestBackendSelection:
 
 
 class TestBackendParity:
-    def test_numpy_bit_identical_to_naive(self, problem):
+    def test_numpy_bit_identical_to_naive(self, problem, seed_kernels):
         """The headline guarantee: plan-driven numpy == seed, bitwise."""
-        kernels.use("naive")
         ref = _run_all_kernels(problem)
         kernels.use("numpy")
         got = _run_all_kernels(problem)
@@ -164,8 +181,11 @@ class TestBlockedKernels:
     @pytest.mark.parametrize(
         "backend", ["naive", "numpy"] + (["numba"] if HAS_NUMBA else [])
     )
-    def test_block_columns_bitwise_match_single_rhs(self, problem, backend):
-        kernels.use(backend)
+    def test_block_columns_bitwise_match_single_rhs(self, problem, backend, request):
+        if backend == "naive":
+            request.getfixturevalue("seed_kernels")
+        else:
+            kernels.use(backend)
         A, X, B = self._block(problem)
         n = A.shape[0]
         lo, hi = n // 4, n // 2
@@ -185,10 +205,9 @@ class TestBlockedKernels:
             assert np.array_equal(mv[:, j], ref_mv), f"col {j}"
             assert np.array_equal(rs[:, j], ref_rs), f"col {j}"
 
-    def test_block_backends_agree_bitwise(self, problem):
+    def test_block_backends_agree_bitwise(self, problem, seed_kernels):
         A, X, B = self._block(problem)
         n = A.shape[0]
-        kernels.use("naive")
         ref = kernels.range_residual_block(A, X, B, 0, n)
         kernels.use("numpy")
         got = kernels.range_residual_block(A, X, B, 0, n)
@@ -292,11 +311,11 @@ class TestKernelStats:
 
 class TestEngineBitIdentity:
     """The acceptance gate: seeded engine runs are bit-identical with
-    the kernel layer routed through ``naive`` (the seed paths) and
+    the kernel layer routed through the seed reference (``naive``) and
     ``numpy`` (the optimized plans)."""
 
     @pytest.mark.parametrize("rescomp", ["local", "global", "rupdate"])
-    def test_residual_trace_identical_naive_vs_numpy(self, rescomp):
+    def test_residual_trace_identical_naive_vs_numpy(self, rescomp, seed_kernels):
         from repro.core import run_async_engine
         from repro.solvers import Multadd
 
@@ -309,7 +328,6 @@ class TestEngineBitIdentity:
                 solver, p.b, tmax=8, rescomp=rescomp, seed=4, track_trace=True
             )
 
-        kernels.use("naive")
         ref = run()
         kernels.use("numpy")
         got = run()
