@@ -76,10 +76,10 @@ def emit_payload(results_dir: Path, name: str, payload: dict) -> Path:
 def emit_series(results_dir: Path, name: str, result) -> Path:
     """Persist a result's residual-vs-time series as ``name.residuals.csv``.
 
-    Accepts any backend result carrying ``residual_samples`` /
-    ``residual_trace`` (see :func:`repro.observe.series_from_result`),
-    so the figure benches share one plotting format with ``repro trace
-    export --residuals``.
+    Accepts any :class:`~repro.core.run.RunResult` (see
+    :func:`repro.observe.series_from_result`), an executor's or a
+    Section-III model's, so the figure benches share one plotting
+    format with ``repro trace export --residuals``.
     """
     from repro.observe import series_from_result, write_residual_series
 

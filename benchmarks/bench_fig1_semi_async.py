@@ -51,6 +51,13 @@ def _run(solver_cls, runs, **solver_kw):
     return headers, rows
 
 
+def _assert_alpha_ladder(rows):
+    """EXPERIMENTS.md's Fig-1 claim: the alpha=0.1 column has the
+    largest mean over sizes (the worst end of the ladder)."""
+    means = np.mean([r[3:] for r in rows], axis=0)
+    assert int(np.argmax(means)) == ALPHAS.index(0.1), dict(zip(ALPHAS, means))
+
+
 def test_fig1_semi_async_multadd(benchmark, results_dir, runs):
     headers, rows = benchmark.pedantic(
         lambda: _run(Multadd, runs), iterations=1, rounds=1
@@ -62,11 +69,7 @@ def test_fig1_semi_async_multadd(benchmark, results_dir, runs):
             headers, rows, title="Fig 1 (Multadd): semi-async relres after 20 V-cycles"
         ),
     )
-    # Shape assertion: larger alpha converges at least as fast on
-    # average (the Fig-1 ladder).
-    last_col = [r[-1] for r in rows]  # a=0.9 across sizes
-    first_col = [r[3] for r in rows]  # a=0.1 across sizes
-    assert np.mean(last_col) <= np.mean(first_col) * 1.5
+    _assert_alpha_ladder(rows)
 
 
 def test_fig1_residual_series(results_dir):
@@ -99,3 +102,4 @@ def test_fig1_semi_async_afacx(benchmark, results_dir, runs):
         ),
     )
     assert all(np.isfinite(r[3]) for r in rows)
+    _assert_alpha_ladder(rows)

@@ -52,6 +52,7 @@ from .amg import SetupOptions
 from .kernels.setupcache import cached_setup_hierarchy
 from .core import (
     ScheduleParams,
+    StalenessSchedule,
     run_async_engine,
     simulate_full_async_residual,
     simulate_full_async_solution,
@@ -347,8 +348,8 @@ def _cmd_models(args) -> int:
     res = sim(solver, problem.b, params)
     print(
         f"{args.model} model: relres = {res.rel_residual:.6e} after "
-        f"{res.instants} instants; p_k = "
-        + ", ".join(f"{v:.2f}" for v in res.update_probabilities)
+        f"{res.micro_steps} instants; p_k = "
+        + ", ".join(f"{v:.2f}" for v in StalenessSchedule(solver.ngrids, params).p)
     )
     return 0
 

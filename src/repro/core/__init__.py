@@ -5,9 +5,9 @@
   monotone reads and maximum delay ``delta`` (Section III).
 - :mod:`repro.core.history`   — ring-buffer history of iterates, the
   "memory" asynchronous grids read stale values from.
-- :mod:`repro.core.models`    — the four asynchronous models: semi-
+- :mod:`repro.core.models`    — the three asynchronous models: semi-
   async (Eq. 6), full-async solution-based (Eq. 7) and residual-based
-  (Eq. 10) simulators.
+  (Eq. 10) simulators, one loop stopped by Criterion 1.
 - :mod:`repro.core.writes`    — lock-write / atomic-write / unsafe
   write policies for shared vectors (Section IV), over ``threading``
   or ``multiprocessing`` locks.
@@ -29,7 +29,6 @@
 from .schedule import StalenessSchedule, ScheduleParams
 from .history import VectorHistory
 from .models import (
-    AsyncModelResult,
     simulate_semi_async,
     simulate_full_async_solution,
     simulate_full_async_residual,
@@ -45,7 +44,6 @@ __all__ = [
     "StalenessSchedule",
     "ScheduleParams",
     "VectorHistory",
-    "AsyncModelResult",
     "simulate_semi_async",
     "simulate_full_async_solution",
     "simulate_full_async_residual",

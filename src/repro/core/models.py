@@ -16,6 +16,13 @@ staleness schedule:
   mixing applied to a maintained residual history; corrections are
   computed directly from ``r_mixed``.
 
+The three differ only in what a correcting grid reads, so they share
+one loop: it takes the read (one instant for the whole vector, or one
+per component) and the shared state (the iterate, or the residual),
+stops each grid under Criterion 1 after ``updates_per_grid``
+corrections and returns a :class:`~repro.core.run.RunResult` whose
+``micro_steps`` counts the instants simulated.
+
 In every model the iterate and residual are *updated* exactly
 (``x += sum of corrections``, ``r -= A (sum of corrections)``), so
 ``r^{(t)} = b - A x^{(t)}`` holds identically; asynchrony enters only
@@ -24,84 +31,79 @@ through what each grid *reads* — precisely the models' semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
+from .. import kernels
 from ..linalg import two_norm
-from ..resilience import FaultTelemetry
 from .history import VectorHistory
+from .run import Criterion, RunResult
 from .schedule import ScheduleParams, StalenessSchedule
 
 __all__ = [
-    "AsyncModelResult",
     "simulate_semi_async",
     "simulate_full_async_solution",
     "simulate_full_async_residual",
 ]
 
 
-@dataclass
-class AsyncModelResult:
-    """Outcome of an asynchronous-model simulation.
-
-    Attributes
-    ----------
-    x:
-        Final iterate.
-    rel_residual:
-        Final ``||b - A x||_2 / ||b||_2``.
-    instants:
-        Number of time instants simulated.
-    corrections_per_grid:
-        Updates each grid performed (== ``updates_per_grid`` for all).
-    update_probabilities:
-        The sampled ``p_k``.
-    residual_trace:
-        ``||r||/||b||`` recorded at each time instant (cheap here
-        because the simulators maintain the exact residual).
-    stalled / telemetry:
-        The uniform result contract (RPR005).  The model simulators
-        raise instead of stalling (a stuck schedule is a configuration
-        error) and inject no faults, so these stay at their defaults.
-    """
-
-    x: np.ndarray
-    rel_residual: float
-    instants: int
-    corrections_per_grid: np.ndarray
-    update_probabilities: np.ndarray
-    residual_trace: List[float] = field(default_factory=list)
-    stalled: bool = False
-    telemetry: FaultTelemetry = field(default_factory=FaultTelemetry)
-
-
-def _finalize(
+def _simulate(
     solver: Any,
-    x: np.ndarray,
     b: np.ndarray,
-    sched: StalenessSchedule,
-    t: int,
-    trace: Optional[List[float]],
-) -> AsyncModelResult:
-    r = b - solver.A @ x
-    nb = two_norm(b) or 1.0
-    return AsyncModelResult(
-        x=x,
-        rel_residual=two_norm(r) / nb,
-        instants=t,
-        corrections_per_grid=sched.updates_done.copy(),
-        update_probabilities=sched.p.copy(),
-        residual_trace=trace,
+    params: ScheduleParams,
+    x0: Optional[np.ndarray],
+    track_trace: bool,
+    p_override: Optional[np.ndarray],
+    delta_by_grid: Optional[np.ndarray],
+    mixed: bool,
+    residual: bool,
+) -> RunResult:
+    """The one loop of the three models: ``mixed`` reads ``z_ki(t)``, one
+    instant per component, instead of ``z_k(t)``; ``residual`` makes the
+    residual, not the iterate, the state grids read and correct from."""
+    A, n = solver.A, solver.n
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    sched = StalenessSchedule(
+        solver.ngrids, params, p_override=p_override, delta_by_grid=delta_by_grid
     )
-
-
-def _max_instants(params: ScheduleParams, sched: StalenessSchedule) -> int:
+    crit = Criterion("criterion1", params.updates_per_grid, solver.ngrids)
+    state = b - A @ x if residual else x
+    hist = VectorHistory(state, depth=sched.max_delta + 2)
+    nb = two_norm(b) or 1.0
+    samples: List[Tuple[float, float]] = []
     # Worst case: the slowest grid fires with its (possibly overridden)
     # minimum probability; generous safety factor before declaring the
     # schedule stuck.
-    return int(200 + 50 * params.updates_per_grid / float(sched.p.min()))
+    limit = int(200 + 50 * params.updates_per_grid / float(sched.p.min()))
+    t = 0
+    while not crit.all_done():
+        if t >= limit:
+            raise RuntimeError("schedule failed to finish; alpha too small?")
+        total = np.zeros(n)
+        for k in sched.active_set(t, crit.counts).tolist():
+            if mixed:
+                read = hist.gather(sched.read_instants(k, t, n))
+            else:
+                read = hist.get(sched.read_instant(k, t))
+            total += solver.correction(k, read if residual else b - A @ read)
+            crit.record(k)
+        x = x + total
+        state = state - A @ total if residual else x
+        t += 1
+        hist.push(state, t)
+        if track_trace:
+            samples.append((float(t - 1), two_norm(state if residual else b - A @ x) / nb))
+    rel = two_norm(b - A @ x) / nb
+    return RunResult(
+        x=x,
+        rel_residual=rel,
+        counts=crit.counts,
+        diverged=not np.isfinite(rel),
+        residual_samples=samples,
+        kernel_backend=kernels.current_backend(),
+        micro_steps=t,
+    )
 
 
 def simulate_semi_async(
@@ -112,38 +114,15 @@ def simulate_semi_async(
     track_trace: bool = False,
     p_override: Optional[np.ndarray] = None,
     delta_by_grid: Optional[np.ndarray] = None,
-) -> AsyncModelResult:
+) -> RunResult:
     """Semi-asynchronous model (Eq. 6).
 
     ``x^{(t+1)} = x^{(t)} + sum_{k in Psi(t)} B_k(x^{(z_k(t))})`` where
     ``B_k(x) = correction(k, b - A x)``.
     """
-    n = solver.n
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    sched = StalenessSchedule(
-        solver.ngrids, params, p_override=p_override, delta_by_grid=delta_by_grid
+    return _simulate(
+        solver, b, params, x0, track_trace, p_override, delta_by_grid, mixed=False, residual=False
     )
-    hist = VectorHistory(x, depth=sched.max_delta + 2)
-    nb = two_norm(b) or 1.0
-    trace: List[float] = []
-    t = 0
-    limit = _max_instants(params, sched)
-    while not sched.all_done:
-        if t >= limit:
-            raise RuntimeError("schedule failed to finish; alpha too small?")
-        active = sched.active_set(t)
-        total = np.zeros(n)
-        for k in active:
-            z = sched.read_instant(int(k), t)
-            x_read = hist.get(z)
-            total += solver.correction(int(k), b - solver.A @ x_read)
-            sched.record_update(int(k))
-        x = x + total
-        t += 1
-        hist.push(x, t)
-        if track_trace:
-            trace.append(two_norm(b - solver.A @ x) / nb)
-    return _finalize(solver, x, b, sched, t, trace)
 
 
 def simulate_full_async_solution(
@@ -154,39 +133,16 @@ def simulate_full_async_solution(
     track_trace: bool = False,
     p_override: Optional[np.ndarray] = None,
     delta_by_grid: Optional[np.ndarray] = None,
-) -> AsyncModelResult:
+) -> RunResult:
     """Fully asynchronous, solution-based model (Eq. 7).
 
     Each active grid reads a component-mixed iterate
     ``(x_1^{(z_k1)}, ..., x_n^{(z_kn)})`` and corrects from
     ``b - A x_mixed``.
     """
-    n = solver.n
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    sched = StalenessSchedule(
-        solver.ngrids, params, p_override=p_override, delta_by_grid=delta_by_grid
+    return _simulate(
+        solver, b, params, x0, track_trace, p_override, delta_by_grid, mixed=True, residual=False
     )
-    hist = VectorHistory(x, depth=sched.max_delta + 2)
-    nb = two_norm(b) or 1.0
-    trace: List[float] = []
-    t = 0
-    limit = _max_instants(params, sched)
-    while not sched.all_done:
-        if t >= limit:
-            raise RuntimeError("schedule failed to finish; alpha too small?")
-        active = sched.active_set(t)
-        total = np.zeros(n)
-        for k in active:
-            z = sched.read_instants(int(k), t, n)
-            x_read = hist.gather(z)
-            total += solver.correction(int(k), b - solver.A @ x_read)
-            sched.record_update(int(k))
-        x = x + total
-        t += 1
-        hist.push(x, t)
-        if track_trace:
-            trace.append(two_norm(b - solver.A @ x) / nb)
-    return _finalize(solver, x, b, sched, t, trace)
 
 
 def simulate_full_async_residual(
@@ -197,7 +153,7 @@ def simulate_full_async_residual(
     track_trace: bool = False,
     p_override: Optional[np.ndarray] = None,
     delta_by_grid: Optional[np.ndarray] = None,
-) -> AsyncModelResult:
+) -> RunResult:
     """Fully asynchronous, residual-based model (Eq. 10).
 
     The residual itself is the shared state: grids read component-mixed
@@ -206,31 +162,6 @@ def simulate_full_async_residual(
     co-updated with the same corrections so the reported relative
     residual is the true ``||b - A x||/||b||``.
     """
-    n = solver.n
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    r = b - solver.A @ x
-    sched = StalenessSchedule(
-        solver.ngrids, params, p_override=p_override, delta_by_grid=delta_by_grid
+    return _simulate(
+        solver, b, params, x0, track_trace, p_override, delta_by_grid, mixed=True, residual=True
     )
-    hist = VectorHistory(r, depth=sched.max_delta + 2)
-    nb = two_norm(b) or 1.0
-    trace: List[float] = []
-    t = 0
-    limit = _max_instants(params, sched)
-    while not sched.all_done:
-        if t >= limit:
-            raise RuntimeError("schedule failed to finish; alpha too small?")
-        active = sched.active_set(t)
-        total = np.zeros(n)
-        for k in active:
-            z = sched.read_instants(int(k), t, n)
-            r_read = hist.gather(z)
-            total += solver.correction(int(k), r_read)
-            sched.record_update(int(k))
-        x = x + total
-        r = r - solver.A @ total
-        t += 1
-        hist.push(r, t)
-        if track_trace:
-            trace.append(two_norm(r) / nb)
-    return _finalize(solver, x, b, sched, t, trace)

@@ -10,7 +10,9 @@ telemetry, tracing, live session, kernel stats, correction screening,
 the :class:`RunResult`), :class:`Criterion`, :func:`exploded` and
 :func:`final_verdict`, and for the threaded and procs workers the
 :func:`correction_loop`, the :class:`GridStep` commit and the
-:class:`Supervisor`.
+:class:`Supervisor`.  The Section-III model simulators
+(:mod:`repro.core.models`) stop by :class:`Criterion` and return
+:class:`RunResult` too.
 
 :mod:`repro.observe` is imported only inside functions: importing an
 executor must not load the observability layer (procs workers import
@@ -78,14 +80,16 @@ def check_choice(name: str, value: str, allowed: Tuple[str, ...]) -> None:
 
 @dataclass
 class RunResult:
-    """Outcome of one asynchronous run, whichever executor ran it.
+    """Outcome of one asynchronous run, whichever executor or
+    Section-III model simulator ran it.
 
     ``corrects`` follows the paper's Table-I definition: the average
     number of corrections per grid.  ``wall_time`` is wall seconds
     (threaded, procs) or simulated seconds (distributed); the engine's
-    clock is its ``micro_steps``.  A field an
-    executor has no use for keeps its default: ``errors`` (worker
-    tracebacks) belongs to threaded and procs; ``micro_steps``,
+    clock is its ``micro_steps``, and a model's ``micro_steps`` are the
+    time instants it simulated.  A field an executor has no use for
+    keeps its default: ``errors`` (worker tracebacks) belongs to
+    threaded and procs; ``micro_steps`` to the engine and the models;
     ``checkpoint_results`` and ``activity_trace`` to the engine (the
     last also to distributed); ``workers`` and ``deterministic`` to
     procs; ``strategy``, ``messages``, ``dropped``, ``flops_total``,
@@ -109,8 +113,9 @@ class RunResult:
     errors: List[str] = field(default_factory=list)
     residual_samples: List[Tuple[float, float]] = field(default_factory=list)
     """``(t, rel_residual)``: monitor samples in wall seconds (threaded,
-    procs), or one per correction with ``track_trace`` — ``t`` the
-    correction index (engine) or the simulated time (distributed)."""
+    procs), or with ``track_trace`` one per correction — ``t`` the
+    correction index (engine) or the simulated time (distributed) — or
+    one per time instant, numbered from 0 (models)."""
     telemetry: FaultTelemetry = field(default_factory=FaultTelemetry)
     trace_summary: Optional["TraceSummary"] = None
     live_summary: Optional["LiveSummary"] = None

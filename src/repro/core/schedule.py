@@ -14,7 +14,9 @@ The paper's simulation framework:
   With ``delta = 0`` the window collapses to ``{t}`` — reads are
   current, which is how Fig. 1 isolates the effect of ``alpha``.
 - Each grid stops after ``updates_per_grid`` corrections; the run ends
-  when every grid is done.
+  when every grid is done.  The caller counts corrections (the models
+  use :class:`~repro.core.run.Criterion`) and passes the counts to
+  :meth:`StalenessSchedule.active_set`.
 """
 
 from __future__ import annotations
@@ -96,24 +98,20 @@ class StalenessSchedule:
             self.delta = d
         else:
             self.delta = np.full(ngrids, params.delta, dtype=np.int64)
-        self.updates_done = np.zeros(ngrids, dtype=np.int64)
         # Last instant each grid read from (monotone-read constraint).
         self.last_read = np.zeros(ngrids, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    @property
-    def all_done(self) -> bool:
-        return bool(np.all(self.updates_done >= self.params.updates_per_grid))
-
-    def active_set(self, t: int) -> np.ndarray:
-        """Grids updating at instant ``t`` (``Psi(t)``).
+    def active_set(self, t: int, counts: np.ndarray) -> np.ndarray:
+        """Grids updating at instant ``t`` (``Psi(t)``), given each
+        grid's corrections so far in ``counts``.
 
         Grids that already completed their update budget never
         reactivate; if every still-running grid fails its coin flip the
         instant is simply empty (the model allows ``Psi(t)`` to be
         empty).
         """
-        running = self.updates_done < self.params.updates_per_grid
+        running = counts < self.params.updates_per_grid
         flips = self._rng.uniform(size=self.ngrids) < self.p
         return np.flatnonzero(running & flips)
 
@@ -144,7 +142,3 @@ class StalenessSchedule:
         z = self._rng.integers(lo, hi + 1, size=n)
         self.last_read[k] = max(int(self.last_read[k]), int(z.min()))
         return z
-
-    def record_update(self, k: int) -> None:
-        """Count one completed correction for grid ``k``."""
-        self.updates_done[k] += 1

@@ -6,9 +6,6 @@ Encodes the paper's measurement protocol (Section V):
   ``sync Multadd lock/atomic``, ``sync AFACx lock/atomic``, async
   ``AFACx lock/atomic``, async ``Multadd`` in lock/atomic x
   global/local, and ``r-Multadd``).
-- **Convergence measurement**: relative residual after N "V-cycles"
-  (for asynchronous methods, N corrections per grid under a criterion),
-  averaged over several seeded runs.
 - **Cycles-to-tolerance**: the paper sweeps 5, 10, ..., 100 V-cycles,
   records ``||r||/||b||`` per count, and reports the first count below
   ``tau = 1e-9``.  We do the same with a single criterion-2 engine run
@@ -35,7 +32,6 @@ __all__ = [
     "MethodSpec",
     "TABLE1_METHODS",
     "build_solver",
-    "mean_final_relres",
     "cycles_to_tolerance",
     "table1_entry",
     "Table1Entry",
@@ -126,46 +122,6 @@ def build_solver(spec: MethodSpec, hierarchy: Hierarchy, smoother: str, **kw):
     if spec.kind == "mult":
         return MultiplicativeMultigrid(hierarchy, smoother=smoother, **kw)
     return AFACx(hierarchy, smoother=smoother, **kw)
-
-
-def mean_final_relres(
-    spec: MethodSpec,
-    hierarchy: Hierarchy,
-    b: np.ndarray,
-    smoother: str,
-    tmax: int = 20,
-    runs: int = 3,
-    seed: int = 0,
-    alpha: float = 0.1,
-    criterion: str = "criterion1",
-    **solver_kw,
-) -> float:
-    """Mean ``||r||/||b||`` after ``tmax`` V-cycles (Figs. 1/2/4/5 metric).
-
-    Synchronous methods are deterministic (one run); asynchronous
-    methods average ``runs`` sequential-engine runs with independent
-    schedule seeds.  Divergence returns ``inf``.
-    """
-    solver = build_solver(spec, hierarchy, smoother, **solver_kw)
-    if not spec.asynchronous:
-        res = solver.solve(b, tmax=tmax)
-        return float("inf") if res.diverged else res.final_relres
-    vals = []
-    for s in spawn_seeds(seed, runs):
-        res = run_async_engine(
-            solver,
-            b,
-            tmax=tmax,
-            rescomp=spec.rescomp,
-            write=spec.write,
-            criterion=criterion,
-            alpha=alpha,
-            seed=s,
-        )
-        if res.diverged:
-            return float("inf")
-        vals.append(res.rel_residual)
-    return float(np.mean(vals))
 
 
 def cycles_to_tolerance(

@@ -15,13 +15,15 @@ perform the same elementwise operations in the same order the seed
 expressions did.
 
 ``csr_matvec`` *accumulates* (``y += A x``), so every product below
-zero-fills its target first; the helper degrades to a bincount
-fallback if a scipy release ever drops the private symbol.
+zero-fills its target first.  ``csr_matvec`` and ``csr_matvecs`` are in
+every scipy the package supports (``>= 1.8``); ``repro.solvers.multadd``
+calls the same private module.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from ..plans import RowRangePlan
 
@@ -37,28 +39,13 @@ __all__ = [
 
 name = "numpy"
 
-try:  # scipy's compiled CSR routines (stable private module since 0.x)
-    from scipy.sparse import _sparsetools as _st
-
-    _csr_matvec = _st.csr_matvec
-    _csr_matvecs = getattr(_st, "csr_matvecs", None)
-except (ImportError, AttributeError):  # pragma: no cover - old/odd scipy
-    _csr_matvec = None
-    _csr_matvecs = None
-
 
 def _product_into(plan: RowRangePlan, x: np.ndarray, out: np.ndarray) -> None:
     """``out[:] = (A @ x)[start:stop]`` (local length) via compiled CSR."""
     out[:] = 0.0
-    if _csr_matvec is not None:
-        _csr_matvec(
-            plan.nrows, plan.ncols, plan.indptr_window, plan.indices, plan.data, x, out
-        )
-    else:  # pragma: no cover - exercised only without scipy._sparsetools
-        lo = int(plan.indptr_window[0])
-        hi = int(plan.indptr_window[-1])
-        seg = plan.data[lo:hi] * x[plan.indices[lo:hi]]
-        out += np.bincount(plan.local_rows, weights=seg, minlength=plan.nrows)
+    csr_matvec(
+        plan.nrows, plan.ncols, plan.indptr_window, plan.indices, plan.data, x, out
+    )
 
 
 def range_matvec(plan: RowRangePlan, x: np.ndarray, out: np.ndarray) -> None:
@@ -82,28 +69,21 @@ def range_matvec_block(plan: RowRangePlan, X: np.ndarray, out: np.ndarray) -> No
     ``csr_matvecs`` accumulates each output row over the row's
     nonzeros strictly left to right, exactly like ``csr_matvec`` does
     per column — so every column is bit-identical to the scalar
-    kernel's result.  Falls back to a per-column ``csr_matvec`` loop
-    (same accumulation order) when the blocked symbol is missing.
+    kernel's result.
     """
     if plan.nrows == 0:
         return
     out[...] = 0.0
-    if _csr_matvecs is not None:
-        _csr_matvecs(
-            plan.nrows,
-            plan.ncols,
-            X.shape[1],
-            plan.indptr_window,
-            plan.indices,
-            plan.data,
-            X.reshape(-1),
-            out.reshape(-1),
-        )
-    else:  # pragma: no cover - exercised only without csr_matvecs
-        col = np.empty(plan.nrows, dtype=np.float64)
-        for j in range(X.shape[1]):
-            _product_into(plan, np.ascontiguousarray(X[:, j]), col)
-            out[:, j] = col
+    csr_matvecs(
+        plan.nrows,
+        plan.ncols,
+        X.shape[1],
+        plan.indptr_window,
+        plan.indices,
+        plan.data,
+        X.reshape(-1),
+        out.reshape(-1),
+    )
 
 
 def range_residual_block(

@@ -9,7 +9,6 @@ only on ``(A, start, stop)`` out of the hot path:
 
 - the absolute ``indptr`` window of the range (what the CSR kernels
   index with),
-- the lazily-built local row map (only the bincount fallback needs it),
 - a reusable output buffer for the ``out=None`` convenience path.
 
 Plans are cached per matrix *object* (``id``-keyed with a weakref
@@ -54,7 +53,6 @@ class RowRangePlan:
         "indices",
         "data",
         "indptr_window",
-        "_local_rows",
         "_out_local",
         "__weakref__",
     )
@@ -74,7 +72,6 @@ class RowRangePlan:
         self.data = A.data
         #: absolute offsets into indices/data for rows [start, stop]
         self.indptr_window = np.ascontiguousarray(A.indptr[start : stop + 1])
-        self._local_rows: Optional[np.ndarray] = None
         self._out_local: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -89,20 +86,6 @@ class RowRangePlan:
             and self.indices is A.indices
             and self.data is A.data
         )
-
-    @property
-    def local_rows(self) -> np.ndarray:
-        """Row index per nonzero of the range, 0-based at ``start``.
-
-        Built on first use (only the bincount fallback path needs it);
-        this is exactly the ``np.repeat(np.arange(...))`` product the
-        seed code rebuilt per call.
-        """
-        if self._local_rows is None:
-            self._local_rows = np.repeat(
-                np.arange(self.nrows), np.diff(self.indptr_window)
-            )
-        return self._local_rows
 
     def out_local(self) -> np.ndarray:
         """Reusable ``(stop - start,)`` output buffer.

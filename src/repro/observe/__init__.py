@@ -13,8 +13,8 @@ simulator:
   compact :class:`TraceSummary` attached to result objects.
 - :mod:`repro.observe.events`    — the typed event vocabulary.
 - :mod:`repro.observe.metrics`   — :class:`Metrics`: counters, gauges
-  and fixed-bucket histograms with a single merge path for
-  per-worker shards.
+  and fixed-bucket histograms, the registry behind the solve server's
+  ``/metrics`` and the live collector's alert counters.
 - :mod:`repro.observe.exporters` — JSONL, Chrome trace-event
   (Perfetto-viewable) and residual-vs-time series writers.
 - :mod:`repro.observe.analyze`   — :class:`TraceAnalyzer`: recovers

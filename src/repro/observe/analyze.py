@@ -38,7 +38,7 @@ from .events import (
     Event,
 )
 from .exporters import read_events_jsonl, residual_series
-from .metrics import LOCK_WAIT_BUCKETS_S, STALENESS_BUCKETS, Metrics
+from .metrics import LOCK_WAIT_BUCKETS_S, STALENESS_BUCKETS, Histogram
 
 __all__ = ["TraceAnalyzer"]
 
@@ -143,28 +143,6 @@ class TraceAnalyzer:
     def fault_events(self) -> Dict[str, int]:
         return dict(sorted(_TallyCounter(ev.tag for ev in self._of(FAULT)).items()))
 
-    # -- aggregation ------------------------------------------------------
-    def metrics(self) -> Metrics:
-        """The trace folded into a :class:`Metrics` registry."""
-        m = Metrics()
-        stal = m.histogram("staleness_epochs", STALENESS_BUCKETS)
-        for s in self.staleness():
-            stal.observe(s)
-        wait = m.histogram("lock_wait_s", LOCK_WAIT_BUCKETS_S)
-        for w in self.lock_waits():
-            wait.observe(w)
-        for grid, c in self.per_grid_counts().items():
-            m.counter(f"corrections.grid{grid}").inc(c)
-        for tag, c in self.guard_actions().items():
-            m.counter(f"guard.{tag}").inc(c)
-        for tag, c in self.fault_events().items():
-            m.counter(f"fault.{tag}").inc(c)
-        m.gauge("monotone_violations").set(self.monotone_violations())
-        series = self.residual_series()
-        if series:
-            m.gauge("rel_residual").set(series[-1][1])
-        return m
-
     # -- conformance bridge ----------------------------------------------
     def conformance(
         self,
@@ -215,7 +193,7 @@ class TraceAnalyzer:
     ) -> List[str]:
         if not values:
             return ["  (no samples)"]
-        hist = Metrics().histogram("h", bounds)
+        hist = Histogram("h", bounds)
         for v in values:
             hist.observe(v)
         peak = max(hist.counts) or 1

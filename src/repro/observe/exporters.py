@@ -199,17 +199,11 @@ def residual_series(
     ]
 
 
-def series_from_result(result: Any) -> List[Tuple[float, float]]:
-    """Residual-vs-time series of a run or a model simulation.
-
-    A :class:`~repro.core.run.RunResult` carries its
-    ``residual_samples`` as ``(t, relres)`` already; the Section-III
-    model simulators record bare ``residual_trace`` floats, numbered
-    here by time instant.
-    """
-    if isinstance(result, RunResult):
-        return [(float(t), float(v)) for t, v in result.residual_samples]
-    return [(float(i), float(v)) for i, v in enumerate(result.residual_trace)]
+def series_from_result(result: RunResult) -> List[Tuple[float, float]]:
+    """Residual-vs-time series of a run: its ``residual_samples`` as
+    ``(t, relres)`` floats, ``t`` in the run's own clock (seconds, a
+    correction index, or a Section-III model's time instant)."""
+    return [(float(t), float(v)) for t, v in result.residual_samples]
 
 
 def write_residual_series(

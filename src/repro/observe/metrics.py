@@ -1,27 +1,33 @@
 """The metrics registry: counters, gauges, fixed-bucket histograms.
 
-Design constraints (the same ones a serving stack's metrics layer
-lives under):
+Two registries exist at run time:
 
-- **No locking on the hot path.**  A :class:`Counter` increment is a
-  plain attribute add; cross-thread aggregation happens through a
-  *single merge path* — each worker owns a shard (its own ``Metrics``
-  or :class:`~repro.resilience.FaultTelemetry` instance) and the run
-  folds the shards together once, at the end, via :meth:`Metrics.merge`.
+- the solve server's (:class:`repro.serve.SolveServer`), behind its
+  ``GET /metrics`` OpenMetrics endpoint: job counters and latency
+  histograms, plus the setup cache, the breaker and the worker pool as
+  providers;
+- each :class:`~repro.observe.Tracer`'s, where the live collector
+  counts its alerts (``alerts.<kind>``) and which every live snapshot
+  flattens into its counters.
+
+Design constraints:
+
+- **No locking inside.**  A :class:`Counter` increment is a plain
+  attribute add; a registry with several writers (the server's)
+  serializes them itself.
 - **Fixed buckets.**  :class:`Histogram` uses pre-declared bucket
-  bounds (staleness in commit epochs, lock-wait in seconds), so
-  ``observe`` is one bisect and merging two histograms is elementwise
-  addition — no quantile sketches to reconcile.
-- **Providers.**  External counter owners (e.g. ``FaultTelemetry``)
-  register a zero-argument callable; :meth:`Metrics.collect` pulls
-  their current values so one ``collect()`` snapshot covers the whole
-  run without the owners changing their own APIs.
+  bounds (staleness in commit epochs, lock-wait or latency in
+  seconds), so ``observe`` is one bisect.
+- **Providers.**  External counter owners register a zero-argument
+  callable; :meth:`Metrics.collect` pulls their current values so one
+  ``collect()`` snapshot covers everything without the owners
+  changing their own APIs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -47,8 +53,7 @@ LOCK_WAIT_BUCKETS_S: Tuple[float, ...] = (
 
 
 class Counter:
-    """Monotonically increasing count.  Single-writer by convention:
-    give each worker its own shard and merge at run end."""
+    """Monotonically increasing count."""
 
     __slots__ = ("name", "value")
 
@@ -156,23 +161,7 @@ class Metrics:
         ``{counter: value}`` dict under ``providers[name]``."""
         self._providers[name] = provider
 
-    # -- aggregation ---------------------------------------------------
-    def merge(self, other: "Metrics") -> "Metrics":
-        """Fold ``other``'s primitives into self (the single merge
-        path for per-worker shards); returns self."""
-        for name, c in other._counters.items():
-            self.counter(name).value += c.value
-        for name, g in other._gauges.items():
-            if g.value is not None:
-                self.gauge(name).value = g.value
-        for name, h in other._histograms.items():
-            mine = self.histogram(name, h.bounds)
-            for i, v in enumerate(h.counts):
-                mine.counts[i] += v
-            mine.total += h.total
-            mine.count += h.count
-        return self
-
+    # -- snapshots -----------------------------------------------------
     def collect(self) -> Dict[str, object]:
         """One snapshot of everything registered, providers included.
 
@@ -218,24 +207,6 @@ class Metrics:
             for name, value in values.items():
                 flat[f"{pname}.{name}"] = float(value)
         return flat
-
-    def format(self) -> str:
-        """Human-readable multi-line dump of the current snapshot."""
-        snap = self.collect()
-        lines: List[str] = []
-        for name, value in snap["counters"].items():  # type: ignore[union-attr]
-            lines.append(f"{name} = {value:g}")
-        for name, value in snap["gauges"].items():  # type: ignore[union-attr]
-            lines.append(f"{name} = {value:g}")
-        for name, h in snap["histograms"].items():  # type: ignore[union-attr]
-            lines.append(
-                f"{name}: n={h['count']} mean={h['sum'] / h['count'] if h['count'] else 0.0:.3g} "
-                f"buckets<= {h['bounds']} -> {h['counts']}"
-            )
-        for pname, counters in snap["providers"].items():  # type: ignore[union-attr]
-            for name, value in sorted(counters.items()):
-                lines.append(f"{pname}.{name} = {value:g}")
-        return "\n".join(lines) if lines else "(no metrics)"
 
 
 def diff_snapshots(

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..core.writes import ADD, ASSIGN, WriteObserver
 from .events import ALERT, CORRECT_END, READ, RESIDUAL, WRITE, Event
-from .metrics import LOCK_WAIT_BUCKETS_S, STALENESS_BUCKETS, Metrics
+from .metrics import Metrics
 
 __all__ = ["TraceBuffer", "Tracer", "TraceSummary", "TracedPolicy"]
 
@@ -162,12 +162,14 @@ class TraceSummary:
 
 
 class Tracer:
-    """Per-worker ring buffers plus the run-end merge and aggregation.
+    """Per-worker ring buffers plus the run-end merge.
 
     Thread-safety: buffer creation and the thread registry use plain
     dict operations (atomic under the GIL); every *record* goes to a
-    buffer only its owner writes.  The merge/aggregate methods are
-    run-end, single-caller operations.
+    buffer only its owner writes.  The merge (:meth:`events`,
+    :meth:`summary`) is a run-end, single-caller operation.
+    ``metrics`` is the registry the live collector counts its alerts
+    into.
     """
 
     def __init__(self, capacity: int = 1 << 16, clock: str = "s") -> None:
@@ -269,7 +271,7 @@ class Tracer:
             tag,
         )
 
-    # -- run-end merge / aggregation ------------------------------------
+    # -- run-end merge ----------------------------------------------------
     @property
     def dropped_events(self) -> int:
         return sum(buf.dropped for buf in self._buffers.values())
@@ -289,28 +291,6 @@ class Tracer:
                 )
         merged.sort(key=lambda e: e.sort_key)
         return merged
-
-    def aggregate(self) -> Metrics:
-        """Fold the recorded events into the tracer's metrics registry
-        (staleness distribution, per-grid update fairness, lock
-        contention).  Run-end only — never on the hot path."""
-        m = self.metrics
-        stal = m.histogram("staleness_epochs", STALENESS_BUCKETS)
-        wait = m.histogram("lock_wait_s", LOCK_WAIT_BUCKETS_S)
-        for ev in self.events():
-            if ev.kind == CORRECT_END:
-                m.counter(f"corrections.grid{ev.grid}").inc()
-                if ev.b >= 0:
-                    stal.observe(ev.b)
-            elif ev.kind == WRITE:
-                m.counter(f"writes.{ev.tag or 'x'}").inc()
-                wait.observe(ev.a)
-            elif ev.kind == READ:
-                m.counter(f"reads.{ev.tag or 'x'}").inc()
-            elif ev.kind == RESIDUAL:
-                m.gauge("rel_residual").set(ev.a)
-        m.counter("events.dropped").value = float(self.dropped_events)
-        return m
 
     def summary(self) -> TraceSummary:
         """Compact digest for attaching to a result object."""

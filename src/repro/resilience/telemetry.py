@@ -13,15 +13,13 @@ need no lock.  The threaded executor gives every worker its own shard
 and folds them into the run's main telemetry through :meth:`merge` once
 at run end — one merge path instead of one lock acquire per bump on the
 hot path (the same per-worker-buffer discipline as
-:class:`repro.observe.Tracer`).  Cross-backend aggregation goes through
-:meth:`register_into`, which exposes the counters to a
-:class:`repro.observe.Metrics` registry as a provider.
+:class:`repro.observe.Tracer`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict
+from typing import Dict
 
 __all__ = ["FaultTelemetry"]
 
@@ -138,7 +136,8 @@ class FaultTelemetry:
     def as_dict(self) -> dict:
         """All counters as a flat ``{name: int}`` dict; the delivery
         histogram is flattened to ``delivery_attempts[k]`` keys so the
-        result stays numeric-valued for :class:`~repro.observe.Metrics`."""
+        result stays numeric-valued (a :class:`~repro.observe.Metrics`
+        provider can return it as is)."""
         out: Dict[str, int] = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -180,12 +179,6 @@ class FaultTelemetry:
             else:
                 self.bump(f.name, getattr(other, f.name))
         return self
-
-    def register_into(self, metrics: Any, name: str = "resilience") -> None:
-        """Expose these counters through a
-        :class:`repro.observe.Metrics` registry as a live provider
-        (collected lazily — no copies, no locks)."""
-        metrics.register_provider(name, self.as_dict)
 
     def summary(self) -> str:
         """One-line human-readable digest of the nonzero counters."""

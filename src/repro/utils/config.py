@@ -6,7 +6,7 @@ at laptop scale by default and at paper scale on demand:
 - ``REPRO_SCALE``  (float, default 0.25): multiplies every mesh size.
   ``REPRO_SCALE=1`` reproduces the paper's problem sizes (27k-512k
   rows); the default keeps a full benchmark pass in minutes.
-- ``REPRO_RUNS``   (int, default 3): runs averaged per data point
+- ``REPRO_RUNS``   (int, default 2): runs averaged per data point
   (the paper uses 20).
 """
 

@@ -42,7 +42,7 @@ class TestSemiAsync:
     def test_all_grids_complete_budget(self, multadd, b_7pt):
         params = ScheduleParams(alpha=0.3, updates_per_grid=7, seed=2)
         sim = simulate_semi_async(multadd, b_7pt, params)
-        assert np.all(sim.corrections_per_grid == 7)
+        assert np.all(sim.counts == 7)
 
     def test_smaller_alpha_slower(self, multadd, b_7pt):
         rels = []
@@ -59,7 +59,7 @@ class TestSemiAsync:
     def test_instants_grow_as_alpha_shrinks(self, multadd, b_7pt):
         s1 = simulate_semi_async(multadd, b_7pt, ScheduleParams(alpha=1.0, seed=0))
         s2 = simulate_semi_async(multadd, b_7pt, ScheduleParams(alpha=0.2, seed=0))
-        assert s2.instants > s1.instants
+        assert s2.micro_steps > s1.micro_steps
 
     def test_trace_tracking(self, multadd, b_7pt):
         sim = simulate_semi_async(
@@ -68,7 +68,7 @@ class TestSemiAsync:
             ScheduleParams(alpha=1.0, updates_per_grid=5),
             track_trace=True,
         )
-        assert len(sim.residual_trace) == sim.instants
+        assert len(sim.residual_samples) == sim.micro_steps
 
 
 class TestFullAsync:

@@ -29,19 +29,16 @@ class TestStalenessSchedule:
 
     def test_alpha_one_always_active(self):
         s = StalenessSchedule(5, ScheduleParams(alpha=1.0, seed=0))
+        counts = np.zeros(5, dtype=np.int64)
         for t in range(10):
-            assert len(s.active_set(t)) == 5
-            for k in range(5):
-                s.record_update(k) if t < 3 else None
-        # (records above keep grids running)
+            assert len(s.active_set(t, counts)) == 5
+            if t < 3:
+                counts += 1  # still short of the budget: grids keep running
 
     def test_done_grids_never_reactivate(self):
         s = StalenessSchedule(3, ScheduleParams(alpha=1.0, updates_per_grid=2))
-        for _ in range(2):
-            for k in range(3):
-                s.record_update(k)
-        assert s.all_done
-        assert len(s.active_set(99)) == 0
+        assert len(s.active_set(99, np.array([2, 2, 2]))) == 0
+        assert s.active_set(99, np.array([2, 1, 2])).tolist() == [1]
 
     def test_delta_zero_reads_current(self):
         s = StalenessSchedule(4, ScheduleParams(alpha=0.5, delta=0, seed=1))

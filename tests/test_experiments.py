@@ -10,7 +10,6 @@ from repro.experiments import (
     build_solver,
     cycles_to_tolerance,
     default_hierarchy,
-    mean_final_relres,
     table1_entry,
 )
 from repro.solvers import AFACx, Multadd, MultiplicativeMultigrid
@@ -46,30 +45,6 @@ class TestMethodSpec:
             build_solver(TABLE1_METHODS[3], hier_7pt_agg, "jacobi", weight=0.9),
             AFACx,
         )
-
-
-class TestMeanFinalRelres:
-    def test_sync_deterministic(self, hier_7pt_agg, b_7pt):
-        r1 = mean_final_relres(
-            TABLE1_METHODS[0], hier_7pt_agg, b_7pt, "jacobi", tmax=10, weight=0.9
-        )
-        r2 = mean_final_relres(
-            TABLE1_METHODS[0], hier_7pt_agg, b_7pt, "jacobi", tmax=10, weight=0.9
-        )
-        assert r1 == r2
-
-    def test_async_averages_runs(self, hier_7pt_agg, b_7pt):
-        r = mean_final_relres(
-            TABLE1_METHODS[8],
-            hier_7pt_agg,
-            b_7pt,
-            "jacobi",
-            tmax=10,
-            runs=2,
-            weight=0.9,
-            alpha=0.5,
-        )
-        assert np.isfinite(r) and r < 1.0
 
 
 class TestCyclesToTolerance:

@@ -30,12 +30,14 @@ class TestScheduleProperties:
     def test_run_terminates(self, ngrids, seed):
         params = ScheduleParams(alpha=0.2, updates_per_grid=5, seed=seed)
         s = StalenessSchedule(ngrids, params)
+        c = Criterion("criterion1", params.updates_per_grid, ngrids)
         for t in range(10000):
-            for k in s.active_set(t):
-                s.record_update(int(k))
-            if s.all_done:
+            for k in s.active_set(t, c.counts):
+                c.record(int(k))
+            if c.all_done():
                 break
-        assert s.all_done
+        assert c.all_done()
+        assert np.all(c.counts == params.updates_per_grid)
 
     @given(st.integers(2, 8), st.integers(0, 2**31 - 1), st.integers(1, 12))
     @settings(max_examples=40, deadline=None)

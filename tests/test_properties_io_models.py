@@ -22,7 +22,7 @@ class TestModelInvariantsProperty:
             random_rhs(A.shape[0], 0),
             ScheduleParams(alpha=alpha, delta=delta, updates_per_grid=5, seed=seed),
         )
-        assert np.all(res.corrections_per_grid == 5)
+        assert np.all(res.counts == 5)
         # The reported residual is exactly b - A x (model consistency).
         r = random_rhs(A.shape[0], 0) - ma.A @ res.x
         assert np.linalg.norm(r) / np.linalg.norm(random_rhs(A.shape[0], 0)) == (
