@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -36,6 +35,8 @@ from repro.resilience import CrashFault, FaultPlan, GuardPolicy
 from repro.solvers import Multadd
 from repro.utils import format_table
 
+from _common import commit_hash, emit
+
 SCHEMA = "repro.bench_churn/1"
 TOL = 1e-4
 TMAX = 25
@@ -47,19 +48,6 @@ MAX_EVENTS = 150_000
 _MACHINE = MachineParams(flop_rate=2e8, jitter=0.1)
 _GUARD = GuardPolicy(watchdog_timeout=1e-4, retransmit_timeout=1e-5)
 _POLICY = ElasticityPolicy(heartbeat_interval=2e-4)
-
-
-def _commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            cwd=Path(__file__).parent,
-            check=True,
-        ).stdout.strip()
-    except Exception:
-        return "unknown"
 
 
 def _solver(full: bool):
@@ -211,7 +199,7 @@ def run_bench(full: bool = False) -> dict:
     solver, b, problem = _solver(full)
     return {
         "schema": SCHEMA,
-        "commit": _commit(),
+        "commit": commit_hash(),
         "quick": not full,
         "seed": 3,
         "problem": problem,
@@ -287,8 +275,6 @@ def digest(payload: dict) -> str:
 
 def test_bench_churn(benchmark, results_dir):
     from repro.utils import env_float, env_int
-
-    from _common import emit
 
     full = env_float("REPRO_SCALE", 0.25) >= 1.0 or env_int("REPRO_BENCH_FULL", 0) == 1
     payload = benchmark.pedantic(lambda: run_bench(full=full), iterations=1, rounds=1)

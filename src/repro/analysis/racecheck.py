@@ -270,12 +270,10 @@ def run_conformance(
     write: str = "lock",
     delta: Optional[int] = None,
     tmax: int = 5,
-    rescomp: str = "local",
     criterion: str = "criterion1",
-    stripe: int = 1024,
-    timeout: float = 120.0,
 ) -> ModelConformanceReport:
-    """Run one instrumented threaded solve and report model conformance.
+    """Run one instrumented threaded local-res solve (stripes of 1024
+    entries, at most 120 s) and report model conformance.
 
     ``delta`` is the staleness bound to verify against, in commit
     epochs.  Under criterion 1 every grid performs exactly ``tmax``
@@ -300,11 +298,11 @@ def run_conformance(
         solver,
         b,
         tmax=tmax,
-        rescomp=rescomp,
+        rescomp="local",
         write=write,
         criterion=criterion,
-        stripe=stripe,
-        timeout=timeout,
+        stripe=1024,
+        timeout=120.0,
         observe=observe,
     )
     # checkers[0] instruments the shared iterate x — the vector the

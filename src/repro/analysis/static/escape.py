@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Set
 
 from .callgraph import CallGraph, FunctionInfo, walk_own
 

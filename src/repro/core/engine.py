@@ -29,8 +29,8 @@ Write policies:
   snapshot) happens in one micro-step: consistent vectors.  local-res +
   lock is the only combination modeled by *semi*-async (Eq. 6), as the
   paper notes; everything else is full-async.
-- ``write="atomic"`` — updates and reads are split into ``nchunks``
-  chunk micro-steps that interleave with other grids' steps: readers
+- ``write="atomic"`` — updates and reads are split into eight chunk
+  micro-steps that interleave with other grids' steps: readers
   observe partially-committed updates (element-consistent, vector-
   inconsistent) — the full-async component mixing of Eq. 7/10.
 
@@ -71,6 +71,8 @@ if TYPE_CHECKING:  # runtime import would cycle through repro.observe
 __all__ = ["run_async_engine"]
 
 _WRITE = ("lock", "atomic")
+#: chunk micro-steps per vector update or read under ``write="atomic"``
+_ATOMIC_CHUNKS = 8
 
 
 def _next_grid(
@@ -185,7 +187,6 @@ def run_async_engine(
     write: str = "lock",
     criterion: str = "criterion1",
     alpha: float = 0.1,
-    nchunks: int = 8,
     seed: int = 0,
     x0: Optional[np.ndarray] = None,
     divergence_threshold: float = 1e6,
@@ -213,8 +214,6 @@ def run_async_engine(
         Minimum relative speed of a grid: per-grid scheduler weights
         are drawn from ``U[alpha, 1]`` — the engine's analogue of the
         models' minimum update probability.
-    nchunks:
-        Chunk count for atomic-write interleaving (ignored for lock).
     checkpoints:
         Sorted V-cycle counts at which to snapshot ``(relres,
         corrects)`` — requires ``criterion="criterion2"`` (grids keep
@@ -229,10 +228,11 @@ def run_async_engine(
     guard:
         Optional :class:`~repro.resilience.GuardPolicy`.  Screens every
         correction before it is committed, checkpoints the iterate
-        every ``checkpoint_interval`` V-cycle-equivalents with
-        rollback on residual spikes/divergence, and runs a staleness
-        watchdog that restarts (re-syncs) grids that stopped making
-        progress.  ``None`` = no protection (the ablation).
+        every :data:`~repro.resilience.CHECKPOINT_ROUNDS`
+        V-cycle-equivalents with rollback on residual
+        spikes/divergence, and runs a staleness watchdog that restarts
+        (re-syncs) grids that stopped making progress.  ``None`` = no
+        protection (the ablation).
     tracer:
         Optional :class:`~repro.observe.Tracer` (use ``clock="steps"``).
         Event times are scheduler micro-steps, so a traced run with a
@@ -255,8 +255,6 @@ def run_async_engine(
         raise ValueError("checkpoints require criterion2 semantics")
     check_choice("rescomp", rescomp, RESCOMP)
     check_choice("write", write, _WRITE)
-    if nchunks < 1:
-        raise ValueError("nchunks must be >= 1")
     n = solver.n
     ngrids = solver.ngrids
     A = solver.A
@@ -275,7 +273,7 @@ def run_async_engine(
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     r = b - A @ x  # shared residual (global / rupdate modes)
     rows = row_blocks(solver.work_per_grid(), n)
-    eff_chunks = 1 if write == "lock" else nchunks
+    eff_chunks = 1 if write == "lock" else _ATOMIC_CHUNKS
     # A rejected correction is simply skipped: the grid recomputes next
     # round (Coleman-style extra work, not divergence).
     correct = ctx.correction_fn(solver.correction)
@@ -313,13 +311,13 @@ def run_async_engine(
     # every (ngrids / alpha) * ops_per_corr micro-steps; 50x that in
     # V-cycle units is far beyond any fair scheduler gap.
     wd_micro: Optional[int] = None
-    if grd is not None and guard.watchdog:
+    if grd is not None:
         wd_micro = (
             guard.watchdog_microsteps
             if guard.watchdog_microsteps is not None
             else 50 * ngrids * ops_per_corr
         )
-    ckpt_every = guard.checkpoint_interval * ngrids if grd is not None else 0
+    ckpt_every = ctx.checkpoint_every
     diverged = False
     stalled = False
     while not diverged:
@@ -451,8 +449,6 @@ def run_async_engine(
                         requests[j] = gens[j].send(None)
                         crashed[j] = False
                         last_done[j] = micro
-                        if guard.restart_delay:
-                            stall_until[j] = micro + int(guard.restart_delay)
                     else:
                         running[j] = False  # dead for good
             # Divergence guard: corrections exploding means the run is

@@ -30,7 +30,14 @@ import numpy as np
 
 from .. import kernels
 from ..linalg import two_norm
-from ..resilience import FaultInjector, FaultPlan, FaultTelemetry, Guard, GuardPolicy
+from ..resilience import (
+    CHECKPOINT_ROUNDS,
+    FaultInjector,
+    FaultPlan,
+    FaultTelemetry,
+    Guard,
+    GuardPolicy,
+)
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.observe
     from ..observe.live import LiveConfig, LiveSession, LiveSummary
@@ -252,7 +259,10 @@ class RunContext:
 
     Builds the run's :class:`FaultTelemetry`, a :class:`FaultInjector`
     when ``faults`` is active and a :class:`Guard` anchored at
-    ``ref_norm`` when ``guard`` is given.  ``live`` (a
+    ``ref_norm`` when ``guard`` is given; with a guard, the engine and
+    the distributed simulator checkpoint every ``checkpoint_every``
+    corrections (:data:`~repro.resilience.CHECKPOINT_ROUNDS` rounds of
+    ``ngrids``), else never (0).  ``live`` (a
     :class:`~repro.observe.live.LiveConfig`) runs the streaming snapshot
     collector, with its optional scrape endpoint, JSONL stream and
     sampling profiler, alongside the run and implies tracing: a tracer
@@ -286,6 +296,7 @@ class RunContext:
             FaultInjector(faults, ngrids) if faults is not None and faults.active else None
         )
         self.guard = Guard(guard, ref_norm, self.telemetry) if guard is not None else None
+        self.checkpoint_every = CHECKPOINT_ROUNDS * ngrids if guard is not None else 0
         self.screens = self.injector is not None or self.guard is not None
         self.live_session: Optional["LiveSession"] = None
         self._zeros: Optional[np.ndarray] = None
@@ -694,7 +705,6 @@ class Supervisor:
                 if self.handles[u].is_alive():
                     if (
                         pol is not None
-                        and pol.watchdog
                         and not hung[u]
                         and not done
                         and now - float(self.heartbeats[u]) > pol.watchdog_timeout
@@ -708,10 +718,8 @@ class Supervisor:
                 # Fail-stop death: restart, re-synced, while the budget lasts.
                 ctx.telemetry.bump("watchdog_detections")
                 self._guard_event(grids[0], "watchdog", now - self.t0)
-                if grd is not None and pol is not None and grd.try_restart():
+                if grd is not None and grd.try_restart():
                     self._guard_event(grids[0], "restart", now - self.t0)
-                    if pol.restart_delay:
-                        _time.sleep(pol.restart_delay)
                     hung[u] = False
                     self.handles[u] = start(u, True)
                 else:

@@ -257,11 +257,8 @@ class ElasticityPolicy:
     heartbeat interval.  ``heartbeat_jitter`` (fraction of the
     interval) and ``retry_jitter`` (fraction of the backoff) draw from
     private streams spawned from ``seed`` — zero means no draw at all,
-    which is the bit-identity default.  ``handoff_bytes_factor`` scales
-    the checkpoint transfer relative to one update message (a grid
-    checkpoint is the replica vector, so 1.0 is the honest default).
-    ``min_ranks`` ends the run as *stalled* (not degraded) if believed
-    membership ever falls below it.
+    which is the bit-identity default.  ``min_ranks`` ends the run as
+    *stalled* (not degraded) if believed membership ever falls below it.
     """
 
     heartbeat_interval: float = 1e-3
@@ -269,7 +266,6 @@ class ElasticityPolicy:
     evict_timeout: Optional[float] = None
     heartbeat_jitter: float = 0.0
     retry_jitter: float = 0.0
-    handoff_bytes_factor: float = 1.0
     min_ranks: int = 1
     seed: int = 0
 
@@ -285,8 +281,6 @@ class ElasticityPolicy:
             raise ValueError("need 0 < suspect_timeout < evict_timeout")
         if self.heartbeat_jitter < 0.0 or self.retry_jitter < 0.0:
             raise ValueError("jitter fractions must be non-negative")
-        if self.handoff_bytes_factor <= 0.0:
-            raise ValueError("handoff_bytes_factor must be positive")
         if self.min_ranks < 1:
             raise ValueError("min_ranks must be >= 1")
 
@@ -514,12 +508,6 @@ class MembershipManager:
                 (self.rank_grid == g) & self.alive & (self.stall_until <= t)
             )
         )
-
-    def capacities(self, t: float) -> np.ndarray:
-        able = self.alive & (self.stall_until <= t) & (self.rank_grid >= 0)
-        return np.bincount(
-            self.rank_grid[able], minlength=self.ngrids
-        ).astype(np.int64)
 
     def next_stall_end(self, g: int, t: float) -> Optional[float]:
         """Earliest future stall-end among grid ``g``'s alive members

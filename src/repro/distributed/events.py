@@ -122,6 +122,3 @@ class DedupIndex:
 
     def clear_rank(self, dst: int) -> None:
         self._seen[dst] = set()
-
-    def seen_count(self, dst: int) -> int:
-        return len(self._seen[dst])

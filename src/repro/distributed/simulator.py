@@ -31,14 +31,15 @@ Faults and recovery are first-class events (``faults=`` /
 
 - a **fail-stop crash** removes a process from the simulation; with a
   guard, the heartbeat watchdog schedules a ``restart`` event
-  (detection latency + restart delay) that re-syncs the replica from a
-  peer (one message transfer) and resumes computing;
+  (``watchdog_timeout`` after the crash) that re-syncs the replica from
+  a peer (one message transfer) and resumes computing;
 - a **dropped transmission** (sampled per attempt from the network's
-  drop process plus the plan's extra loss) triggers **retransmission**
-  events with exponential backoff up to ``max_retransmits``;
+  drop process plus the plan's extra loss) triggers, with a guard,
+  **retransmission** events with exponential backoff, at most
+  :data:`~repro.resilience.MAX_RETRANSMITS` per message;
 - **duplicated** deliveries are discarded by sequence-number dedup
-  when the guard enables it — without it, a duplicated ``global-res``
-  increment is applied twice and silently corrupts the replica;
+  with a guard — without one, a duplicated ``global-res`` increment is
+  applied twice and silently corrupts the replica;
 - **corrupted corrections** (NaN/Inf/scaled entries) are screened by
   the guard before they touch the true iterate or any message.
 
@@ -80,7 +81,7 @@ from ..core.run import (
 )
 from ..linalg import two_norm
 from ..partition import partition_threads
-from ..resilience import FaultPlan, GuardPolicy
+from ..resilience import MAX_RETRANSMITS, FaultPlan, GuardPolicy
 from .elastic import ChurnPlan, ElasticityPolicy, MembershipManager
 from .events import DedupIndex, EventHandle, IndexedEventQueue
 from .network import NetworkModel
@@ -147,7 +148,8 @@ def simulate_distributed(
         transmission.
     guard:
         Optional :class:`~repro.resilience.GuardPolicy`; enables
-        correction screening, checkpoint/rollback of the true iterate,
+        correction screening, checkpoint/rollback of the true iterate
+        every :data:`~repro.resilience.CHECKPOINT_ROUNDS` rounds,
         crash detection + restart (replica re-sync), retransmission
         with backoff, and duplicate suppression.
     tracer:
@@ -269,8 +271,8 @@ def simulate_distributed(
     read_tag = "r" if strategy == "global" else "x"
 
     def transmit(src: int, dst: int, vec: np.ndarray, t: float, mid: int, attempt: int) -> None:
-        """One transmission attempt; drops trigger retransmission when
-        the guard allows, with exponential backoff."""
+        """One transmission attempt; with a guard, a drop triggers a
+        retransmission with exponential backoff while the budget lasts."""
         nonlocal messages, dropped
         telemetry.bump("messages_sent")
         lost = net.dropped() or (injector is not None and injector.message_dropped())
@@ -279,11 +281,7 @@ def simulate_distributed(
             telemetry.bump("messages_dropped")
             if tracer is not None:
                 tracer.record("msg", dst, t, float(mid), float(src), "drop")
-            if (
-                grd is not None
-                and guard.retransmit
-                and attempt < guard.max_retransmits
-            ):
+            if grd is not None and attempt < MAX_RETRANSMITS:
                 backoff = guard.retransmit_timeout * (2.0**attempt)
                 if elastic_on:
                     backoff *= mm.retry_backoff_factor()
@@ -371,7 +369,8 @@ def simulate_distributed(
             if mm.grid_down[g]:
                 continue
             peer = (g + 1) % ngrids
-            dt = net.transfer_time(peer, g, msg_bytes * pol.handoff_bytes_factor)
+            # A grid checkpoint is its replica: one update message's bytes.
+            dt = net.transfer_time(peer, g, msg_bytes)
             telemetry.bump("handoffs")
             if tracer is not None:
                 tracer.record("member", g, t, dt, 0.0, "handoff")
@@ -393,7 +392,7 @@ def simulate_distributed(
         if elastic_on:
             live_session.collector.membership_fn = mm.census
 
-    ckpt_every = guard.checkpoint_interval * ngrids if grd is not None else 0
+    ckpt_every = ctx.checkpoint_every
     wall = 0.0
     events = 0
     diverged = False
@@ -486,16 +485,13 @@ def simulate_distributed(
                 telemetry.bump("injected_crashes")
                 if tracer is not None:
                     tracer.record("fault", proc, t, tag="crash")
-                if grd is not None and guard.watchdog and grd.try_restart():
+                if grd is not None and grd.try_restart():
                     # The heartbeat watchdog notices the silence after
-                    # watchdog_timeout; the replacement comes up
-                    # restart_delay later.
+                    # watchdog_timeout and the replacement comes up then.
                     telemetry.bump("watchdog_detections")
-                    t_up = t + guard.watchdog_timeout + guard.restart_delay
+                    t_up = t + guard.watchdog_timeout
                     if tracer is not None:
-                        tracer.record(
-                            "guard", proc, t + guard.watchdog_timeout, tag="watchdog"
-                        )
+                        tracer.record("guard", proc, t_up, tag="watchdog")
                     q.push(t_up, "restart", proc, None)
                 continue
             if keep_going(proc):
@@ -569,12 +565,11 @@ def simulate_distributed(
             if mm.grid_down[proc]:
                 continue  # delivered to a dead process
             src, mid, vec = payload
-            if grd is not None and guard.dedup_messages:
-                if not dedup.first_delivery(proc, mid):
-                    telemetry.bump("duplicates_discarded")
-                    if tracer is not None:
-                        tracer.record("msg", proc, t, float(mid), float(src), "dup")
-                    continue
+            if grd is not None and not dedup.first_delivery(proc, mid):
+                telemetry.bump("duplicates_discarded")
+                if tracer is not None:
+                    tracer.record("msg", proc, t, float(mid), float(src), "dup")
+                continue
             if tracer is not None:
                 tracer.record("msg", proc, t, float(mid), float(src), "recv")
             replicas[proc] += vec

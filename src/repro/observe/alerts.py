@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .live import LiveSnapshot
@@ -396,11 +396,3 @@ def default_detectors(delta: Optional[float] = None) -> List[Detector]:
     if delta is not None:
         dets.append(StalenessDetector(delta))
     return dets
-
-
-def alerts_by_kind(alerts: Sequence[Alert]) -> Dict[str, int]:
-    """Head-count per alert kind (the snapshot/summary census shape)."""
-    out: Dict[str, int] = {}
-    for a in alerts:
-        out[a.kind] = out.get(a.kind, 0) + 1
-    return out

@@ -92,6 +92,9 @@ LIVE_WORKER = "live"
 
 SNAPSHOT_SCHEMA = "repro.live.snapshot/v1"
 
+#: snapshots a collector keeps (the oldest are dropped first)
+_HISTORY = 512
+
 
 @dataclass
 class LiveSnapshot:
@@ -207,7 +210,6 @@ class SnapshotCollector:
         self,
         tracer: Tracer,
         interval_s: float = 0.1,
-        history: int = 512,
         detectors: Optional[List[Detector]] = None,
         backend: str = "",
         on_snapshot: Optional[Callable[[LiveSnapshot], None]] = None,
@@ -224,7 +226,6 @@ class SnapshotCollector:
         self.on_snapshot = on_snapshot
         self.on_alert = on_alert
         self.history: List[LiveSnapshot] = []
-        self.history_limit = int(history)
         self.alerts: List[Alert] = []
         # Running aggregates, folded forward across collections.
         self._cursors: Dict[WorkerKey, int] = {}
@@ -370,8 +371,8 @@ class SnapshotCollector:
         snap.last_alert = self._last_alert
 
         self.history.append(snap)
-        if len(self.history) > self.history_limit:
-            del self.history[: len(self.history) - self.history_limit]
+        if len(self.history) > _HISTORY:
+            del self.history[: len(self.history) - _HISTORY]
         if self.on_snapshot is not None:
             self.on_snapshot(snap)
         return snap
@@ -813,14 +814,12 @@ class LiveConfig:
     is the opt-in."""
 
     interval_s: float = 0.1
-    history: int = 512
     metrics_port: Optional[int] = None  # None = no endpoint; 0 = ephemeral
     snapshot_path: Optional[str] = None  # JSONL stream for headless runs
     detectors: Optional[List[Detector]] = None  # None → default_detectors(delta)
     delta: Optional[float] = None  # staleness bound for the spike detector
     alert_stop: FrozenSet[str] = frozenset()  # alert kinds that abort the run
     profile: bool = False
-    profile_interval_s: float = 0.005
 
 
 @dataclass
@@ -922,7 +921,6 @@ def start_live(
     collector = SnapshotCollector(
         tracer,
         interval_s=config.interval_s,
-        history=config.history,
         detectors=detectors,
         backend=backend,
         on_snapshot=writer.write if writer is not None else None,
@@ -935,11 +933,7 @@ def start_live(
         if config.metrics_port is not None
         else None
     )
-    profiler = (
-        SamplingProfiler(tracer, interval_s=config.profile_interval_s)
-        if config.profile
-        else None
-    )
+    profiler = SamplingProfiler(tracer) if config.profile else None
     session = LiveSession(config, collector, server, profiler, writer)
     session_box.append(session)
     collector.start()

@@ -27,7 +27,7 @@ The executors accept ``faults=`` and ``guard=`` uniformly:
 """
 
 from .faults import CrashFault, FaultInjector, FaultPlan, StallFault, parse_fault_spec
-from .guards import Guard, GuardPolicy
+from .guards import CHECKPOINT_ROUNDS, MAX_RETRANSMITS, Guard, GuardPolicy
 from .telemetry import FaultTelemetry
 
 __all__ = [
@@ -36,6 +36,8 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "parse_fault_spec",
+    "CHECKPOINT_ROUNDS",
+    "MAX_RETRANSMITS",
     "Guard",
     "GuardPolicy",
     "FaultTelemetry",

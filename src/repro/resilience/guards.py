@@ -13,18 +13,21 @@ the mutable state (checkpoint, rollback/restart budgets):
   ``isfinite`` pass and one max-abs per correction; no reductions
   across grids.
 - **residual-spike detection + checkpoint/rollback**
-  (:meth:`Guard.checkpoint_or_rollback`) — the executor periodically
-  offers the current iterate and relative residual; a spike past
-  ``spike_factor x`` the last checkpoint (or a non-finite residual)
-  returns the checkpointed iterate to restore instead of recording a
-  new snapshot.
+  (:meth:`Guard.checkpoint_or_rollback`) — the executor offers the
+  current iterate and relative residual every :data:`CHECKPOINT_ROUNDS`
+  correction rounds (engine, distributed) or ``checkpoint_period_s``
+  wall seconds (threaded, procs); a spike past ``spike_factor x`` the
+  last checkpoint (or a non-finite residual) returns the checkpointed
+  iterate to restore instead of recording a new snapshot.
 - **staleness watchdog + restart budgets** — executors consult
-  ``watchdog``/``watchdog_timeout``/``watchdog_microsteps`` to declare
-  a silent grid dead, and :meth:`Guard.try_restart` to spend one of
-  ``max_restarts`` re-spawns (with replica re-sync, executor-specific).
-- **message policies** (distributed) — ``retransmit`` with exponential
-  backoff up to ``max_retransmits``, and sequence-number
-  ``dedup_messages``.
+  ``watchdog_timeout``/``watchdog_microsteps`` to declare a silent grid
+  dead, and :meth:`Guard.try_restart` to spend one of ``max_restarts``
+  re-spawns (with replica re-sync, executor-specific); ``max_restarts=0``
+  turns restarts off.
+- **message policies** (distributed) — a dropped message is re-sent
+  with exponential backoff from ``retransmit_timeout``, at most
+  :data:`MAX_RETRANSMITS` times, and duplicate deliveries are discarded
+  by sequence number.
 
 ``guard=None`` everywhere means *no protection*: faults land unchecked,
 which is the ablation the fault-tolerance benchmark contrasts.
@@ -39,9 +42,15 @@ import numpy as np
 
 from .telemetry import FaultTelemetry
 
-__all__ = ["GuardPolicy", "Guard"]
+__all__ = ["CHECKPOINT_ROUNDS", "MAX_RETRANSMITS", "GuardPolicy", "Guard"]
 
 _ON_MAGNITUDE = ("reject", "clamp")
+
+#: the engine and the distributed simulator checkpoint the iterate every
+#: this many correction rounds (one round = one correction per grid)
+CHECKPOINT_ROUNDS = 5
+#: the distributed simulator re-sends a dropped message at most this often
+MAX_RETRANSMITS = 3
 
 
 @dataclass(frozen=True)
@@ -54,54 +63,39 @@ class GuardPolicy:
     ``watchdog_microsteps``, auto-derived when None).
     """
 
-    #: reject corrections containing NaN/Inf entries
-    reject_nonfinite: bool = True
     #: reject/clamp corrections with max-abs beyond this multiple of ||b||
     magnitude_bound: float = 1e4
     #: what to do with an oversized (but finite) correction
     on_magnitude: str = "reject"
     #: residual growth past the last checkpoint that triggers rollback
     spike_factor: float = 100.0
-    #: checkpoint every this many correction *rounds* (engine/distributed)
-    checkpoint_interval: int = 5
-    #: checkpoint period in wall seconds (threaded supervisor)
+    #: checkpoint period in wall seconds (threaded and procs supervisors)
     checkpoint_period_s: float = 0.05
     #: rollback budget; 0 disables rollback entirely
     max_rollbacks: int = 10
-    #: enable the staleness watchdog / heartbeat monitor
-    watchdog: bool = True
     #: engine: micro-steps without progress before a grid is declared
     #: dead (None = auto, ~5 fault-free V-cycles)
     watchdog_microsteps: Optional[int] = None
     #: threaded/distributed: seconds without a heartbeat before a
     #: worker/process is declared dead
     watchdog_timeout: float = 0.25
-    #: restart grids/processes declared dead (with replica re-sync)
-    restart_crashed: bool = True
-    #: restart budget across the whole run
+    #: restarts (with replica re-sync) of grids/processes declared dead,
+    #: across the whole run; 0 disables restarts
     max_restarts: int = 3
-    #: extra delay between detection and the restarted grid's first work
-    restart_delay: float = 0.0
-    #: distributed: re-send dropped messages with exponential backoff
-    retransmit: bool = True
+    #: distributed: first retransmission backoff, doubled per attempt
     retransmit_timeout: float = 1e-4
-    max_retransmits: int = 3
-    #: distributed: discard duplicate deliveries by sequence number
-    dedup_messages: bool = True
 
     def __post_init__(self) -> None:
         if self.on_magnitude not in _ON_MAGNITUDE:
             raise ValueError(f"on_magnitude must be one of {_ON_MAGNITUDE}")
         if self.magnitude_bound <= 0 or self.spike_factor <= 1.0:
             raise ValueError("magnitude_bound must be > 0 and spike_factor > 1")
-        if self.checkpoint_interval < 1 or self.checkpoint_period_s <= 0:
+        if self.checkpoint_period_s <= 0:
             raise ValueError("checkpoint cadence must be positive")
-        if min(self.max_rollbacks, self.max_restarts, self.max_retransmits) < 0:
+        if min(self.max_rollbacks, self.max_restarts) < 0:
             raise ValueError("budgets must be non-negative")
         if self.watchdog_timeout <= 0 or self.retransmit_timeout <= 0:
             raise ValueError("timeouts must be positive")
-        if self.restart_delay < 0:
-            raise ValueError("restart_delay must be non-negative")
 
 
 class Guard:
@@ -140,7 +134,7 @@ class Guard:
         guard's own (scheduler/supervisor use)."""
         tel = self.telemetry if telemetry is None else telemetry
         pol = self.policy
-        if pol.reject_nonfinite and not np.all(np.isfinite(e)):
+        if not np.all(np.isfinite(e)):
             tel.bump("corrections_rejected")
             return None
         if e.size:
@@ -183,8 +177,6 @@ class Guard:
     # -- restart budget ------------------------------------------------
     def try_restart(self) -> bool:
         """Spend one restart from the budget (True when granted)."""
-        if not self.policy.restart_crashed:
-            return False
         if self.restarts_used >= self.policy.max_restarts:
             return False
         self.restarts_used += 1

@@ -53,7 +53,8 @@ class FaultTelemetry:
     - ``restarts`` — crashed grids/processes restarted and re-synced.
     - ``retransmissions`` — dropped messages re-sent (with backoff).
     - ``messages_lost`` — messages abandoned after exhausting retries
-      (or with retransmission disabled).
+      (or at their first drop in an unguarded run, which re-sends
+      nothing).
     - ``duplicates_discarded`` — duplicate deliveries suppressed by
       sequence-number dedup.
 
@@ -147,27 +148,6 @@ class FaultTelemetry:
             else:
                 out[f.name] = value
         return out
-
-    @property
-    def total_injected(self) -> int:
-        return (
-            self.injected_crashes
-            + self.injected_stalls
-            + self.injected_corruptions
-            + self.messages_duplicated
-            + self.messages_delayed
-        )
-
-    @property
-    def total_recovery_actions(self) -> int:
-        return (
-            self.corrections_rejected
-            + self.corrections_clamped
-            + self.rollbacks
-            + self.restarts
-            + self.retransmissions
-            + self.duplicates_discarded
-        )
 
     def merge(self, other: "FaultTelemetry") -> "FaultTelemetry":
         """Add ``other``'s counters into self (returns self) — the

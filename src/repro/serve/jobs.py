@@ -259,9 +259,6 @@ class Job:
         job.t_deadline = now + spec.deadline_s
         return job
 
-    def remaining_s(self, now: float) -> float:
-        return self.t_deadline - now
-
     def make_result(self, status: str, now: float, **kw: object) -> JobResult:
         """Build a terminal result stamped with this job's accounting."""
         res = JobResult(

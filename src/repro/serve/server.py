@@ -95,6 +95,9 @@ LATENCY_BUCKETS_S: Tuple[float, ...] = (
 #: failure causes attributed to the operator → they feed the breaker
 _BREAKER_FAULT_CAUSES = frozenset({"divergence", "guard_trip"})
 
+#: every job's columns are screened by the default guard
+_GUARD = GuardPolicy()
+
 
 @dataclass
 class ServeConfig:
@@ -114,8 +117,6 @@ class ServeConfig:
     #: waits before it looks for retries now due
     backoff_base_s: float = 0.01
     backoff_jitter: float = 0.5
-    join_timeout_s: float = 5.0
-    guard_policy: Optional[GuardPolicy] = field(default_factory=GuardPolicy)
     #: per-tenant fault plans (chaos/injection); each job derives its
     #: own seeded injector from its tenant's plan
     fault_plans: Dict[str, FaultPlan] = field(default_factory=dict)
@@ -127,8 +128,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.workers < 1 or self.batch_max < 1:
             raise ValueError("workers and batch_max must be >= 1")
-        if self.join_timeout_s <= 0:
-            raise ValueError("join_timeout_s must be positive")
         if self.backoff_base_s <= 0 or self.backoff_jitter < 0:
             raise ValueError("backoff_base_s must be > 0, jitter >= 0")
 
@@ -245,10 +244,10 @@ class SolveServer:
             t.start()
         return True
 
-    def stop(self, timeout_s: Optional[float] = None) -> None:
+    def stop(self, timeout_s: float = 5.0) -> None:
         """Graceful shutdown: reject everything queued, finish what's
-        in flight, join every worker (bounded)."""
-        timeout = self.config.join_timeout_s if timeout_s is None else timeout_s
+        in flight, join every worker (each join bounded by
+        ``timeout_s``)."""
         self._stop.set()
         now = perf_counter()
         for job in self.admission.close():
@@ -260,7 +259,7 @@ class SolveServer:
         for job in pending:
             self._complete(job, job.make_result(REJECTED, now, cause="shutdown"))
         for t in threads:
-            t.join(timeout=timeout)
+            t.join(timeout=timeout_s)
 
     def alive_threads(self) -> List[threading.Thread]:
         """Worker threads still running (empty after a clean stop)."""
@@ -437,9 +436,7 @@ class SolveServer:
         spec = job.spec
         # The column's own guard and telemetry, the guard anchored to
         # this column's ||b||; the injector persists across retries.
-        run = RunContext(
-            "serve", solver.ngrids, float(np.linalg.norm(spec.b)), guard=self.config.guard_policy
-        )
+        run = RunContext("serve", solver.ngrids, float(np.linalg.norm(spec.b)), guard=_GUARD)
         return ColumnContext(
             tol=spec.tol,
             tmax=spec.tmax,

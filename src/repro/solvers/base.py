@@ -133,15 +133,6 @@ class AdditiveMultigrid(ABC):
         (solution-based models) and ``C_k(r)`` (residual-based models).
         """
 
-    def correction_from_x(
-        self, k: int, x: np.ndarray, b: np.ndarray
-    ) -> np.ndarray:
-        """``B_k(x)``: recompute the residual from ``x`` then correct.
-
-        The local-res path: the grid owns its residual computation.
-        """
-        return self.correction(k, b - self.A @ x)
-
     def correction_into(
         self, k: int, r: np.ndarray, out: np.ndarray
     ) -> np.ndarray:

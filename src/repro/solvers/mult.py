@@ -129,15 +129,3 @@ class MultiplicativeMultigrid:
     def residual_flops(self) -> float:
         """Cost of one fine-grid residual (SpMV + axpy)."""
         return 2.0 * self.A.nnz + self.n
-
-    def cycle_flops(self) -> float:
-        """Approximate flops of one V-cycle (feeds the machine model)."""
-        total = 2.0 * self.A.nnz + self.n  # fine residual
-        for k in range(self.hierarchy.coarsest):
-            lv = self.hierarchy.levels[k]
-            sweeps = self.pre_sweeps + self.post_sweeps
-            total += sweeps * self.smoothers[k].flops_per_sweep()
-            total += 2.0 * lv.A.nnz  # defect SpMV before restriction
-            total += 2.0 * lv.R.nnz + 2.0 * lv.P.nnz
-        total += self.coarse.flops()
-        return total

@@ -10,7 +10,6 @@ from repro.amg import (
     classical_interpolation,
     classical_strength,
     direct_interpolation,
-    hmis_coarsening,
     multipass_interpolation,
     rs_coarsening,
     truncate_interpolation,

@@ -47,8 +47,6 @@ class TestEngineBasics:
             run_async_engine(multadd, b_7pt, rescomp="psychic")
         with pytest.raises(ValueError):
             run_async_engine(multadd, b_7pt, write="wish")
-        with pytest.raises(ValueError):
-            run_async_engine(multadd, b_7pt, nchunks=0)
 
 
 class TestRescompModes:

@@ -19,7 +19,6 @@ from repro.distributed import (
     ElasticityPolicy,
     IndexedEventQueue,
     MembershipManager,
-    NetworkModel,
     parse_churn_spec,
     simulate_distributed,
 )
@@ -117,7 +116,6 @@ class TestDedupIndex:
         d = DedupIndex(2)
         d.first_delivery(0, 7)
         d.clear_rank(0)
-        assert d.seen_count(0) == 0
         assert d.first_delivery(0, 7)
 
 
@@ -206,7 +204,7 @@ class TestMembershipManager:
     def test_initial_assignment_covers_all_grids(self):
         mm = _mm(nranks=8)
         assert np.all(mm.staffed())
-        assert mm.capacities(0.0).sum() == 8
+        assert sum(mm.capacity(g, 0.0) for g in range(mm.ngrids)) == 8
         assert mm.believed_ranks() == 8
 
     def test_crash_is_silent_until_scanned(self):

@@ -18,7 +18,14 @@ from repro.core.perfmodel import MachineParams
 from repro.core.threaded import run_threaded
 from repro.distributed import NetworkModel, simulate_distributed
 from repro.problems import laplacian_27pt, random_rhs
-from repro.resilience import CrashFault, FaultPlan, GuardPolicy, StallFault
+from repro.resilience import (
+    CHECKPOINT_ROUNDS,
+    MAX_RETRANSMITS,
+    CrashFault,
+    FaultPlan,
+    GuardPolicy,
+    StallFault,
+)
 from repro.solvers import Multadd
 
 TOL = 1e-6
@@ -143,7 +150,8 @@ class TestEngineFaults:
         np.testing.assert_array_equal(plain.x, guarded.x)
         assert guarded.telemetry.corrections_rejected == 0
         assert guarded.telemetry.rollbacks == 0
-        assert guarded.telemetry.checkpoints > 0
+        rounds = int(guarded.counts.sum()) // (CHECKPOINT_ROUNDS * multadd27.ngrids)
+        assert guarded.telemetry.checkpoints == rounds > 0
 
     def test_divergence_threshold_flags_diverged(self, multadd27, b27):
         # Satellite: an over-relaxed smoother blows up; the engine must
@@ -253,8 +261,36 @@ class TestDistributedFaults:
         )
         assert not res.diverged and not res.stalled
         assert res.rel_residual < TOL
-        assert res.telemetry.retransmissions > 0
+        tel = res.telemetry
+        assert tel.retransmissions > 0
         assert res.dropped > 0
+        # Every drop is either re-sent or given up on, and no message
+        # is sent more than 1 + MAX_RETRANSMITS times.
+        assert tel.messages_dropped == tel.retransmissions + tel.messages_lost
+        assert max(tel.delivery_attempts) <= 1 + MAX_RETRANSMITS
+
+    def test_retransmit_budget_bounds_attempts(self, multadd27, b27):
+        # At 50% loss some messages use up the whole budget: the last
+        # attempt that can deliver is attempt 1 + MAX_RETRANSMITS.
+        res = self._run(
+            multadd27,
+            b27,
+            tmax=10,
+            criterion="criterion1",
+            faults=FaultPlan(drop_probability=0.5, seed=0),
+            guard=self.GUARD,
+        )
+        tel = res.telemetry
+        assert tel.messages_lost > 0
+        assert tel.messages_dropped == tel.retransmissions + tel.messages_lost
+        assert max(tel.delivery_attempts) == 1 + MAX_RETRANSMITS
+
+    def test_guard_checkpoint_cadence(self, multadd27, b27):
+        res = self._run(multadd27, b27, guard=self.GUARD)
+        assert not res.diverged and not res.stalled
+        rounds = int(res.counts.sum()) // (CHECKPOINT_ROUNDS * multadd27.ngrids)
+        assert res.telemetry.checkpoints == rounds > 0
+        assert res.telemetry.rollbacks == 0
 
     def test_duplicates_are_deduplicated(self, multadd27, b27):
         res = self._run(

@@ -27,7 +27,6 @@ from repro.observe.alerts import (
     OscillationDetector,
     StagnationDetector,
     StalenessDetector,
-    alerts_by_kind,
     default_detectors,
 )
 from repro.observe.events import (
@@ -301,15 +300,6 @@ class TestDetectors:
         assert kinds == {"stagnation", "divergence", "oscillation", "heartbeat_gap"}
         dets = default_detectors(delta=8.0)
         assert any(d.kind == "staleness_spike" for d in dets)
-        alerts = [
-            Alert(kind="stagnation", t_wall=0, t_event=0, value=0, threshold=0,
-                  message=""),
-            Alert(kind="stagnation", t_wall=1, t_event=0, value=0, threshold=0,
-                  message=""),
-            Alert(kind="divergence", t_wall=2, t_event=0, value=0, threshold=0,
-                  message=""),
-        ]
-        assert alerts_by_kind(alerts) == {"stagnation": 2, "divergence": 1}
 
 
 class TestOpenMetrics:

@@ -204,14 +204,11 @@ class TestGuardPolicy:
             {"on_magnitude": "ignore"},
             {"magnitude_bound": 0.0},
             {"spike_factor": 1.0},
-            {"checkpoint_interval": 0},
             {"checkpoint_period_s": 0.0},
             {"max_rollbacks": -1},
             {"max_restarts": -2},
-            {"max_retransmits": -1},
             {"watchdog_timeout": 0.0},
             {"retransmit_timeout": -1e-3},
-            {"restart_delay": -0.1},
         ],
     )
     def test_bad_policy_raises(self, kw):
@@ -298,7 +295,7 @@ class TestGuardRestart:
         assert g.telemetry.restarts == 2
 
     def test_disabled(self):
-        g = Guard(GuardPolicy(restart_crashed=False), ref_norm=1.0)
+        g = Guard(GuardPolicy(max_restarts=0), ref_norm=1.0)
         assert not g.try_restart()
         assert g.telemetry.restarts == 0
 
@@ -316,15 +313,6 @@ class TestTelemetry:
     def test_negative_bump_raises(self):
         with pytest.raises(ValueError):
             FaultTelemetry().bump("rollbacks", -1)
-
-    def test_totals(self):
-        t = FaultTelemetry()
-        t.bump("injected_corruptions", 4)
-        t.bump("injected_stalls")
-        t.bump("corrections_rejected", 2)
-        t.bump("restarts")
-        assert t.total_injected == 5
-        assert t.total_recovery_actions == 3
 
     def test_merge(self):
         a, b = FaultTelemetry(), FaultTelemetry()

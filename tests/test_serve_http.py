@@ -6,7 +6,6 @@ import threading
 import urllib.error
 import urllib.request
 
-import numpy as np
 import pytest
 
 from repro.observe import Metrics, parse_openmetrics

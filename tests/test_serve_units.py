@@ -54,7 +54,6 @@ class TestJobSpec:
     def test_deadline_fixed_at_first_admission(self, ref):
         job = make_job(ref, now=10.0, deadline_s=2.5)
         assert job.t_deadline == pytest.approx(12.5)
-        assert job.remaining_s(11.0) == pytest.approx(1.5)
 
 
 class TestOperatorRef:

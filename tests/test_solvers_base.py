@@ -62,18 +62,6 @@ class TestAdditiveBase:
         s.solve(b_7pt, tmax=5, callback=lambda t, rel: seen.append((t, rel)))
         assert [t for t, _ in seen] == [1, 2, 3, 4, 5]
 
-    def test_correction_from_x_equals_correction_of_residual(
-        self, hier_7pt_agg, b_7pt
-    ):
-        s = Multadd(hier_7pt_agg, smoother="jacobi", weight=0.9)
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(s.n)
-        r = b_7pt - s.A @ x
-        for k in (0, s.ngrids - 1):
-            assert np.allclose(
-                s.correction_from_x(k, x, b_7pt), s.correction(k, r)
-            )
-
     def test_residual_flops(self, hier_7pt_agg):
         s = Multadd(hier_7pt_agg, smoother="jacobi", weight=0.9)
         assert s.residual_flops() == 2.0 * s.A.nnz + s.n
