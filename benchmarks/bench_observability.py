@@ -121,7 +121,8 @@ def run_bench():
         }
 
     # Sanity: the observed arms actually observed something.
-    traced_res = run_engine(Tracer(clock="steps"))
+    traced = Tracer(clock="steps")
+    run_engine(traced)
     live_res = run_engine(Tracer(clock="steps"), LiveConfig(interval_s=CADENCE_S))
     from _common import identity_block
 
@@ -133,7 +134,7 @@ def run_bench():
         "cadence_s": CADENCE_S,
         "backends": backends,
         "sanity": {
-            "traced_events": traced_res.trace_summary.events,
+            "traced_events": len(traced.events()),
             "live_snapshots": len(live_res.live_summary.snapshots),
         },
     }

@@ -4,8 +4,8 @@ Layers (each usable on its own):
 
 - :mod:`~repro.analysis.static.cfg` — per-function control-flow graphs
   with ``with``-region markers;
-- :mod:`~repro.analysis.static.dataflow` — worklist fixpoint engine
-  plus may/must set lattices (reaching definitions, live variables);
+- :mod:`~repro.analysis.static.dataflow` — forward worklist fixpoint
+  engine plus the must-set lattice;
 - :mod:`~repro.analysis.static.callgraph` — project call graph with
   alias-aware resolution (relative imports, re-exports, ``self.``
   methods, nested closures);
@@ -25,13 +25,13 @@ and memoizes on index identity.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..project import ProjectIndex
 from .baseline import Baseline, apply_baseline, fingerprint
 from .callgraph import CallGraph, build_callgraph
 from .cfg import CFG, build_cfg
-from .dataflow import LiveVariables, ReachingDefinitions, solve
+from .dataflow import solve
 from .escape import EscapeInfo, analyze_escapes
 from .lockset import LocksetReport, analyze_locksets
 from .sarif import to_sarif, write_sarif
@@ -40,8 +40,6 @@ __all__ = [
     "CFG",
     "build_cfg",
     "solve",
-    "ReachingDefinitions",
-    "LiveVariables",
     "CallGraph",
     "build_callgraph",
     "EscapeInfo",

@@ -1,49 +1,37 @@
-"""Worklist dataflow engine + a small lattice library.
+"""Worklist dataflow engine and the must-set lattice.
 
 The engine solves classic iterative dataflow over the CFGs of
 :mod:`repro.analysis.static.cfg`: an :class:`Analysis` supplies the
-lattice (``join`` / ``eq``), the boundary and initial values, and a
+lattice (``join`` / ``eq``), the entry and initial values, and a
 per-statement transfer function; :func:`solve` iterates a worklist to
-the least fixpoint.  Both directions are supported — ``forward``
-(values flow entry -> exit, join over predecessors) and ``backward``
-(exit -> entry, join over successors).
+the fixpoint, forward (values flow entry -> exit, joined over
+predecessors).
 
-Lattices
---------
-Two ready-made powerset lattices cover the analyses in this package:
-
-- :class:`MaySet` — join = union, initial value = the empty set.  Used
-  for *may* facts ("this definition may reach here"):
-  :class:`ReachingDefinitions`, :class:`LiveVariables`.
-- :class:`MustSet` — join = intersection, initial value = ``TOP`` (the
-  set of everything, represented symbolically).  Used for *must* facts
-  ("this lock is held on **every** path"): the lockset analysis of
-  :mod:`repro.analysis.static.lockset`.
-
-``TOP`` is a singleton, not a materialized universal set, so must
-analyses work over unbounded token universes (lock names) without
-enumerating them.
+Lattice
+-------
+:data:`MustSet` — join = intersection, initial value = ``TOP`` (the
+set of everything, represented symbolically) — carries *must* facts
+("this lock is held on **every** path"): the lockset analysis of
+:mod:`repro.analysis.static.lockset`.  ``TOP`` is a singleton, not a
+materialized universal set, so must analyses work over unbounded token
+universes (lock names) without enumerating them.
 """
 
 from __future__ import annotations
 
-import ast
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Generic, Iterator, List, Tuple, TypeVar, Union
+from typing import Dict, FrozenSet, Generic, Iterator, Tuple, TypeVar, Union
 
 from .cfg import CFG, BasicBlock, Stmt
 
 __all__ = [
     "TOP",
     "MustSet",
-    "MaySet",
     "Analysis",
     "DataflowSolution",
     "solve",
-    "ReachingDefinitions",
-    "LiveVariables",
 ]
 
 T = TypeVar("T")
@@ -67,8 +55,6 @@ TOP = _Top()
 
 #: a must-set value: TOP (everything) or a concrete frozen set
 MustSet = Union[_Top, FrozenSet[object]]
-#: a may-set value: a concrete frozen set (bottom = empty)
-MaySet = FrozenSet[object]
 
 
 def must_join(a: MustSet, b: MustSet) -> MustSet:
@@ -93,13 +79,11 @@ def must_discard(a: MustSet, items: FrozenSet[object]) -> MustSet:
 
 
 class Analysis(ABC, Generic[T]):
-    """One dataflow problem: lattice + transfer functions."""
-
-    direction: str = "forward"
+    """One forward dataflow problem: lattice + transfer functions."""
 
     @abstractmethod
     def boundary(self) -> T:
-        """Value at the entry (forward) / exit (backward) block."""
+        """Value at the entry block."""
 
     @abstractmethod
     def init(self) -> T:
@@ -117,10 +101,7 @@ class Analysis(ABC, Generic[T]):
         """Flow ``value`` through one lowered statement."""
 
     def transfer_block(self, block: BasicBlock, value: T) -> T:
-        stmts: List[Stmt] = block.stmts
-        if self.direction == "backward":
-            stmts = list(reversed(stmts))
-        for stmt in stmts:
+        for stmt in block.stmts:
             value = self.transfer(stmt, value)
         return value
 
@@ -129,10 +110,8 @@ class Analysis(ABC, Generic[T]):
 class DataflowSolution(Generic[T]):
     """Fixpoint values at block boundaries.
 
-    ``block_in[b]`` is the value *entering* block ``b`` in the
-    analysis' direction of travel (for a backward analysis that is the
-    value at the block's end in program order), ``block_out[b]`` the
-    value after its transfer.
+    ``block_in[b]`` is the value entering block ``b``, ``block_out[b]``
+    the value after its transfer.
     """
 
     cfg: CFG
@@ -143,9 +122,7 @@ class DataflowSolution(Generic[T]):
 
     def stmt_values(self) -> Iterator[Tuple[int, Stmt, T]]:
         """Per-statement input values, recomputed by replaying each
-        block's transfer (forward analyses only)."""
-        if self.analysis.direction != "forward":
-            raise ValueError("stmt_values is defined for forward analyses")
+        block's transfer."""
         for bid in sorted(self.cfg.blocks):
             value = self.block_in[bid]
             for stmt in self.cfg.blocks[bid].stmts:
@@ -154,23 +131,13 @@ class DataflowSolution(Generic[T]):
 
 
 def solve(cfg: CFG, analysis: Analysis[T], max_iterations: int = 100_000) -> DataflowSolution[T]:
-    """Iterate ``analysis`` over ``cfg`` to its least fixpoint."""
-    forward = analysis.direction == "forward"
-    start = cfg.entry if forward else cfg.exit
-
-    def flows_from(bid: int) -> List[int]:
-        blk = cfg.blocks[bid]
-        return blk.preds if forward else blk.succs
-
-    def flows_to(bid: int) -> List[int]:
-        blk = cfg.blocks[bid]
-        return blk.succs if forward else blk.preds
-
+    """Iterate ``analysis`` forward over ``cfg`` to its fixpoint."""
+    start = cfg.entry
     block_in: Dict[int, T] = {bid: analysis.init() for bid in cfg.blocks}
     block_out: Dict[int, T] = {}
     block_in[start] = analysis.boundary()
 
-    order = cfg.rpo() if forward else list(reversed(cfg.rpo()))
+    order = cfg.rpo()
     # Blocks unreachable from the entry (orphaned dead code) still get
     # a seat so site-collection passes over them terminate.
     for bid in cfg.blocks:
@@ -185,7 +152,7 @@ def solve(cfg: CFG, analysis: Analysis[T], max_iterations: int = 100_000) -> Dat
             raise RuntimeError("dataflow did not converge")
         bid = work.popleft()
         queued.discard(bid)
-        sources = flows_from(bid)
+        sources = cfg.blocks[bid].preds
         if sources:
             value = block_out.get(sources[0], analysis.init())
             for src in sources[1:]:
@@ -196,7 +163,7 @@ def solve(cfg: CFG, analysis: Analysis[T], max_iterations: int = 100_000) -> Dat
         out = analysis.transfer_block(cfg.blocks[bid], block_in[bid])
         if bid not in block_out or not analysis.eq(block_out[bid], out):
             block_out[bid] = out
-            for nxt in flows_to(bid):
+            for nxt in cfg.blocks[bid].succs:
                 if nxt not in queued:
                     work.append(nxt)
                     queued.add(nxt)
@@ -207,104 +174,3 @@ def solve(cfg: CFG, analysis: Analysis[T], max_iterations: int = 100_000) -> Dat
         block_out=block_out,
         iterations=iterations,
     )
-
-
-# ----------------------------------------------------------------------
-# Library analyses (also the engine's own regression instruments)
-# ----------------------------------------------------------------------
-
-
-def _assigned_names(target: ast.AST) -> Iterator[str]:
-    for node in ast.walk(target):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            yield node.id
-
-
-class ReachingDefinitions(Analysis[FrozenSet[Tuple[str, int]]]):
-    """Forward may-analysis: which ``(name, lineno)`` definitions can
-    reach each point."""
-
-    direction = "forward"
-
-    def boundary(self) -> FrozenSet[Tuple[str, int]]:
-        return frozenset()
-
-    def init(self) -> FrozenSet[Tuple[str, int]]:
-        return frozenset()
-
-    def join(
-        self, a: FrozenSet[Tuple[str, int]], b: FrozenSet[Tuple[str, int]]
-    ) -> FrozenSet[Tuple[str, int]]:
-        return a | b
-
-    def transfer(
-        self, stmt: Stmt, value: FrozenSet[Tuple[str, int]]
-    ) -> FrozenSet[Tuple[str, int]]:
-        defined: List[str] = []
-        lineno = getattr(stmt, "lineno", 0)
-        if isinstance(stmt, ast.Assign):
-            for t in stmt.targets:
-                defined.extend(_assigned_names(t))
-        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-            defined.extend(_assigned_names(stmt.target))
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            defined.extend(_assigned_names(stmt.target))
-        if not defined:
-            return value
-        killed = frozenset(d for d in value if d[0] in defined)
-        return (value - killed) | frozenset((n, lineno) for n in defined)
-
-
-class LiveVariables(Analysis[FrozenSet[str]]):
-    """Backward may-analysis: which names are live (read later) at
-    each point."""
-
-    direction = "backward"
-
-    def boundary(self) -> FrozenSet[str]:
-        return frozenset()
-
-    def init(self) -> FrozenSet[str]:
-        return frozenset()
-
-    def join(self, a: FrozenSet[str], b: FrozenSet[str]) -> FrozenSet[str]:
-        return a | b
-
-    def transfer(self, stmt: Stmt, value: FrozenSet[str]) -> FrozenSet[str]:
-        if not isinstance(stmt, ast.stmt):
-            return value
-        defined: set[str] = set()
-        used: set[str] = set()
-        if isinstance(stmt, ast.Assign):
-            for t in stmt.targets:
-                defined.update(_assigned_names(t))
-            used.update(self._loads(stmt.value))
-            # Subscript/attribute stores also *read* their base.
-            for t in stmt.targets:
-                if not isinstance(t, ast.Name):
-                    used.update(self._loads(t))
-        elif isinstance(stmt, ast.AugAssign):
-            defined.update(_assigned_names(stmt.target))
-            used.update(self._loads(stmt.value))
-            used.update(self._loads(stmt.target))
-        elif isinstance(stmt, (ast.If, ast.While)):
-            used.update(self._loads(stmt.test))
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            defined.update(_assigned_names(stmt.target))
-            used.update(self._loads(stmt.iter))
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                used.update(self._loads(stmt.value))
-        elif isinstance(stmt, ast.Expr):
-            used.update(self._loads(stmt.value))
-        else:
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    used.update(self._loads(child))
-        return (value - defined) | used
-
-    @staticmethod
-    def _loads(node: ast.AST) -> Iterator[str]:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                yield sub.id

@@ -271,8 +271,6 @@ def lock_token(
 class LockHeld(Analysis[MustSet]):
     """Forward must-analysis: locks held on every path to a point."""
 
-    direction = "forward"
-
     def __init__(
         self,
         scope: _Scope,

@@ -150,7 +150,15 @@ def _cmd_solve(args) -> int:
         except ValueError as exc:
             print(f"error: bad --faults spec: {exc}", file=sys.stderr)
             return 2
-    guard = GuardPolicy() if args.guards else None
+    guard = None
+    if args.guards:
+        # The simulator reads the guard's timeouts in simulated seconds,
+        # where one correction takes microseconds.
+        guard = (
+            GuardPolicy(watchdog_timeout=1e-4, retransmit_timeout=1e-5)
+            if args.backend == "distributed"
+            else GuardPolicy()
+        )
     if (faults is not None or guard is not None) and not args.run_async:
         print("error: --faults/--guards require --run-async", file=sys.stderr)
         return 2
@@ -259,26 +267,27 @@ def _cmd_solve(args) -> int:
             census = ", ".join(f"{k}={v}" for k, v in res.membership.items() if v)
             print(f"membership: {census}")
         if tracer is not None:
-            from .observe import write_events_jsonl
+            from .observe import TraceAnalyzer, write_events_jsonl
 
-            write_events_jsonl(
-                tracer.events(),
-                trace_path,
-                meta={
-                    "clock": tracer.clock,
-                    "backend": args.backend,
-                    "problem": args.test_set,
-                    "n": problem.n,
-                    "ngrids": solver.ngrids,
-                    "method": args.method,
-                    "rescomp": args.rescomp,
-                    "write": args.write,
-                    "criterion": args.criterion,
-                    "tmax": args.tmax,
-                    "seed": args.seed,
-                },
+            events = tracer.events()
+            meta = {
+                "clock": tracer.clock,
+                "backend": args.backend,
+                "problem": args.test_set,
+                "n": problem.n,
+                "ngrids": solver.ngrids,
+                "method": args.method,
+                "rescomp": args.rescomp,
+                "write": args.write,
+                "criterion": args.criterion,
+                "tmax": args.tmax,
+                "seed": args.seed,
+            }
+            write_events_jsonl(events, trace_path, meta=meta)
+            digest = TraceAnalyzer(events, meta).oneline(
+                tracer.dropped_events, len(tracer.buffers())
             )
-            print(f"trace: wrote {trace_path} — {res.trace_summary.oneline()}")
+            print(f"trace: wrote {trace_path} — {digest}")
     else:
         res = solver.solve(problem.b, tmax=args.tmax)
         print(

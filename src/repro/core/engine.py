@@ -242,8 +242,7 @@ def run_async_engine(
         correction begin/end, read/write and
         staleness, and guard/fault events; residual snapshots are only
         emitted for norms the run computes anyway (``track_trace`` or
-        guard checkpoints), so tracing itself adds no SpMV.  The digest
-        lands on ``result.trace_summary``.
+        guard checkpoints), so tracing itself adds no SpMV.
     live:
         Optional :class:`~repro.observe.live.LiveConfig` (see
         :class:`~repro.core.run.RunContext`); also implies

@@ -41,7 +41,7 @@ from ..resilience import (
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.observe
     from ..observe.live import LiveConfig, LiveSession, LiveSummary
-    from ..observe.tracer import Tracer, TraceSummary
+    from ..observe.tracer import Tracer
 
 __all__ = [
     "CRITERIA",
@@ -124,7 +124,6 @@ class RunResult:
     correction index (engine) or the simulated time (distributed) — or
     one per time instant, numbered from 0 (models)."""
     telemetry: FaultTelemetry = field(default_factory=FaultTelemetry)
-    trace_summary: Optional["TraceSummary"] = None
     live_summary: Optional["LiveSummary"] = None
     kernel_backend: str = "numpy"
     micro_steps: int = 0
@@ -270,7 +269,8 @@ class RunContext:
     collector only reads, so results are those of the same run without
     it; an ``alert_stop`` alert aborts the run, reported ``stalled``.
     :meth:`begin` starts the instrumentation, :meth:`result` ends it
-    with the digests on ``trace_summary`` and ``live_summary``.
+    with the live digest on ``live_summary``; the events stay on the
+    tracer, for the caller to merge or analyze.
     """
 
     def __init__(
@@ -401,8 +401,8 @@ class RunContext:
     ) -> RunResult:
         """End the run: one ``kernel`` event per kernel at ``t_end`` (the
         backend's clock) closes the stats bracket, and the live session
-        finishes before the trace summary so the collector's alert
-        events are part of it."""
+        finishes, so the collector's last alert events are in the trace
+        before the result is returned."""
         tracer = self.tracer
         if tracer is not None:
             for kname, (calls, secs) in sorted(kernels.stats_delta(self._kstats0).items()):
@@ -415,7 +415,6 @@ class RunContext:
             rel_residual=rel,
             counts=counts,
             telemetry=self.telemetry,
-            trace_summary=tracer.summary() if tracer is not None else None,
             live_summary=live_summary,
             kernel_backend=kernels.current_backend(),
             **fields,

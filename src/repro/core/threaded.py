@@ -105,11 +105,11 @@ def run_threaded(
 
     ``tracer`` is the parallel observability hook: both shared-vector
     policies are observed by a :class:`~repro.observe.TracedPolicy`,
-    each worker records into its own per-thread ring buffer (no
-    cross-thread locking on the hot path), and the merged digest lands
-    on ``result.trace_summary``.  Event times are wall seconds from the
-    run's start.  A policy has one observer, so ``observe`` together
-    with ``tracer`` (or ``live``, which implies one) raises
+    and each worker records into its own per-thread ring buffer (no
+    cross-thread locking on the hot path), merged by
+    ``tracer.events()`` after the run.  Event times are wall seconds
+    from the run's start.  A policy has one observer, so ``observe``
+    together with ``tracer`` (or ``live``, which implies one) raises
     :class:`ValueError`.
 
     ``live`` (see :class:`~repro.core.run.RunContext`) turns the

@@ -156,9 +156,8 @@ def simulate_distributed(
         Optional :class:`~repro.observe.Tracer` (use ``clock="sim"``).
         Event times are simulated seconds; message sends, deliveries
         and drops are recorded as ``msg`` events alongside the usual
-        correction / staleness / guard / fault vocabulary, and the
-        digest lands on ``result.trace_summary``.  Like the engine, a
-        fixed seed reproduces the event stream exactly.
+        correction / staleness / guard / fault vocabulary.  Like the
+        engine, a fixed seed reproduces the event stream exactly.
     live:
         Optional :class:`~repro.observe.live.LiveConfig` (see
         :class:`~repro.core.run.RunContext`); also implies

@@ -8,19 +8,19 @@ the sequential engine, the threaded executor and the distributed
 simulator:
 
 - :mod:`repro.observe.tracer`    — :class:`Tracer` (per-worker
-  append-only ring buffers, merged at run end), :class:`TracedPolicy`
-  (the write-policy observer of the threaded executor) and the
-  compact :class:`TraceSummary` attached to result objects.
+  append-only ring buffers, merged at run end) and :class:`TracedPolicy`
+  (the write-policy observer of the threaded executor).
 - :mod:`repro.observe.events`    — the typed event vocabulary.
 - :mod:`repro.observe.metrics`   — :class:`Metrics`: counters, gauges
   and fixed-bucket histograms, the registry behind the solve server's
-  ``/metrics`` and the live collector's alert counters.
+  ``/metrics``.
 - :mod:`repro.observe.exporters` — JSONL, Chrome trace-event
   (Perfetto-viewable) and residual-vs-time series writers.
 - :mod:`repro.observe.analyze`   — :class:`TraceAnalyzer`: recovers
   the Section-III model quantities (empirical |Ψ(t)|, max observed
   delay vs δ, monotone reads, update fairness) from a recorded run
-  and can feed the existing ``ModelConformanceReport``.
+  and can feed the existing ``ModelConformanceReport``; its
+  ``oneline()`` is the digest ``repro solve --trace`` prints.
 - :mod:`repro.observe.live`      — the *in-flight* view:
   :class:`SnapshotCollector` tails the ring buffers on a cadence into
   typed :class:`LiveSnapshot` objects, served over OpenMetrics
@@ -60,16 +60,15 @@ from .live import (
     start_live,
     to_openmetrics,
 )
-from .metrics import Counter, Gauge, Histogram, Metrics, diff_snapshots
+from .metrics import Counter, Gauge, Histogram, Metrics
 from .profiler import ProfileReport, SamplingProfiler
-from .tracer import TraceBuffer, TracedPolicy, Tracer, TraceSummary
+from .tracer import TraceBuffer, TracedPolicy, Tracer
 
 __all__ = [
     "Event",
     "TraceBuffer",
     "Tracer",
     "TracedPolicy",
-    "TraceSummary",
     "Counter",
     "Gauge",
     "Histogram",
@@ -87,7 +86,6 @@ __all__ = [
     "SnapshotWriter",
     "ProfileReport",
     "SamplingProfiler",
-    "diff_snapshots",
     "parse_openmetrics",
     "read_snapshots_jsonl",
     "render_top",

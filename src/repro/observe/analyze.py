@@ -188,6 +188,19 @@ class TraceAnalyzer:
         )
 
     # -- human-readable report --------------------------------------------
+    def oneline(self, dropped: int, workers: int) -> str:
+        """The one-line digest ``repro solve --trace`` prints; ring
+        drops and worker buffers are the tracer's, not the stream's."""
+        stal = self.staleness()
+        waits = self.lock_waits()
+        return (
+            f"trace: {len(self.events)} events ({dropped} dropped) from "
+            f"{workers} worker(s), {len(self._of(CORRECT_END))} corrections over "
+            f"{self.span():g} {self.clock}; staleness max/mean = "
+            f"{max(stal, default=0.0):g}/{float(np.mean(stal)) if stal else 0.0:.2f}; "
+            f"lock-wait total/max = {sum(waits):.3g}/{max(waits, default=0.0):.3g} s"
+        )
+
     def _histogram_lines(
         self, values: Sequence[float], bounds: Sequence[float], unit: str
     ) -> List[str]:

@@ -14,8 +14,8 @@ The pieces, bottom-up:
 
 - :class:`LiveSnapshot` — one typed observation: residual, per-grid
   correction progress, read staleness, lock-wait, queue depth and
-  membership census (distributed), guard/fault/alert head-counts,
-  flattened metrics and per-second rates, per-worker heartbeat ages.
+  membership census (distributed), guard/fault/alert head-counts and
+  per-worker heartbeat ages.
 - :class:`SnapshotCollector` — tails every buffer on a monotonic
   cadence, folds the new records into running aggregates, feeds the
   anomaly detectors (:mod:`repro.observe.alerts`) and records their
@@ -63,7 +63,6 @@ from .events import (
     RESIDUAL,
     WRITE,
 )
-from .metrics import diff_snapshots
 from .profiler import ProfileReport, SamplingProfiler
 from .tracer import Tracer
 
@@ -121,8 +120,6 @@ class LiveSnapshot:
     last_alert: str = ""
     queue_depth: float = float("nan")  # distributed event queue (NaN = n/a)
     membership: Dict[str, int] = field(default_factory=dict)  # census by state
-    counters: Dict[str, float] = field(default_factory=dict)  # Metrics.flatten()
-    rates: Dict[str, float] = field(default_factory=dict)  # per-second deltas
     heartbeat_age: Dict[WorkerKey, float] = field(default_factory=dict)
     worker_grids: Dict[WorkerKey, int] = field(default_factory=dict)
 
@@ -151,8 +148,6 @@ class LiveSnapshot:
                 None if self.queue_depth != self.queue_depth else self.queue_depth
             ),
             "membership": dict(self.membership),
-            "counters": dict(self.counters),
-            "rates": dict(self.rates),
             "heartbeat_age": {str(k): v for k, v in self.heartbeat_age.items()},
             "worker_grids": {str(k): v for k, v in self.worker_grids.items()},
         }
@@ -184,8 +179,6 @@ class LiveSnapshot:
             last_alert=str(d.get("last_alert", "")),
             queue_depth=float("nan") if qd is None else float(qd),
             membership={str(k): int(v) for k, v in d.get("membership", {}).items()},
-            counters={str(k): float(v) for k, v in d.get("counters", {}).items()},
-            rates={str(k): float(v) for k, v in d.get("rates", {}).items()},
             heartbeat_age={
                 str(k): float(v) for k, v in d.get("heartbeat_age", {}).items()
             },
@@ -244,8 +237,6 @@ class SnapshotCollector:
         self._last_alert = ""
         self._members: Dict[str, int] = {}
         self._heartbeat: Dict[WorkerKey, float] = {}
-        self._prev_flat: Dict[str, float] = {}
-        self._prev_wall = 0.0
         self._seq = 0
         self._t0 = _time.monotonic()
         # Serializes collect_once between the cadence thread and the
@@ -324,11 +315,6 @@ class SnapshotCollector:
             self._events_seen += len(new)
             for rec in new:
                 self._ingest(wkey, rec, wall)
-        flat = tracer.metrics.flatten()
-        dt = wall - self._prev_wall
-        rates = diff_snapshots(self._prev_flat, flat, dt if dt > 0 else None)
-        self._prev_flat = flat
-        self._prev_wall = wall
 
         snap = LiveSnapshot(
             seq=self._seq,
@@ -356,8 +342,6 @@ class SnapshotCollector:
             membership=(
                 dict(self.membership_fn()) if self.membership_fn else dict(self._members)
             ),
-            counters=flat,
-            rates=rates,
             heartbeat_age={w: wall - t for w, t in self._heartbeat.items()},
             worker_grids=worker_grids,
         )
@@ -391,7 +375,6 @@ class SnapshotCollector:
             tag=alert.kind,
             worker=LIVE_WORKER,
         )
-        self.tracer.metrics.counter(f"alerts.{alert.kind}").inc()
         if self.on_alert is not None:
             self.on_alert(alert)
 
@@ -494,10 +477,6 @@ def to_openmetrics(snap: LiveSnapshot) -> str:
     fam("repro_alerts", "counter", "Online anomaly alerts raised, by kind.")
     for kind in sorted(snap.alert_counts):
         lines.append(f'repro_alerts_total{{kind="{_esc(kind)}"}} {snap.alert_counts[kind]}')
-    collect_errors = snap.counters.get("collect_errors")
-    if collect_errors is not None:
-        fam("repro_collect_errors", "counter", "Metrics providers that raised.")
-        lines.append(f"repro_collect_errors_total {num(collect_errors)}")
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
 

@@ -1,14 +1,11 @@
 """The metrics registry: counters, gauges, fixed-bucket histograms.
 
-Two registries exist at run time:
-
-- the solve server's (:class:`repro.serve.SolveServer`), behind its
-  ``GET /metrics`` OpenMetrics endpoint: job counters and latency
-  histograms, plus the setup cache, the breaker and the worker pool as
-  providers;
-- each :class:`~repro.observe.Tracer`'s, where the live collector
-  counts its alerts (``alerts.<kind>``) and which every live snapshot
-  flattens into its counters.
+One registry exists at run time: the solve server's
+(:class:`repro.serve.SolveServer`), behind its ``GET /metrics``
+OpenMetrics endpoint: job counters and latency histograms, plus the
+setup cache, the breaker and the worker pool as providers.  A run's
+live counts (alerts included) travel on
+:class:`~repro.observe.live.LiveSnapshot`, not in a registry.
 
 Design constraints:
 
@@ -34,7 +31,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Metrics",
-    "diff_snapshots",
     "STALENESS_BUCKETS",
     "LOCK_WAIT_BUCKETS_S",
 ]
@@ -195,7 +191,7 @@ class Metrics:
     def flatten(self) -> Dict[str, float]:
         """Counters, gauges and provider values as one flat
         ``{name: value}`` dict (provider entries as ``provider.name``)
-        — the shape :func:`diff_snapshots` and the live exporters eat."""
+        — the shape the server's stats and its bench payload read."""
         snap = self.collect()
         flat: Dict[str, float] = {}
         counters: Dict[str, float] = snap["counters"]  # type: ignore[assignment]
@@ -207,22 +203,3 @@ class Metrics:
             for name, value in values.items():
                 flat[f"{pname}.{name}"] = float(value)
         return flat
-
-
-def diff_snapshots(
-    old: Dict[str, float], new: Dict[str, float], dt: Optional[float] = None
-) -> Dict[str, float]:
-    """Per-name deltas between two :meth:`Metrics.flatten` snapshots.
-
-    Counters that went *down* (a restarted shard, a re-registered
-    provider) clamp to zero rather than reporting a negative rate.
-    With ``dt`` the deltas are divided through to per-second rates —
-    the live layer's ``corrections/s`` and ``messages/s`` numbers.
-    """
-    out: Dict[str, float] = {}
-    for name, value in new.items():
-        delta = value - old.get(name, 0.0)
-        if delta < 0.0:
-            delta = 0.0
-        out[name] = delta / dt if dt else delta
-    return out

@@ -26,16 +26,12 @@ from __future__ import annotations
 
 import threading
 import time as _time
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-import numpy as np
-
 from ..core.writes import ADD, ASSIGN, WriteObserver
-from .events import ALERT, CORRECT_END, READ, RESIDUAL, WRITE, Event
-from .metrics import Metrics
+from .events import READ, WRITE, Event
 
-__all__ = ["TraceBuffer", "Tracer", "TraceSummary", "TracedPolicy"]
+__all__ = ["TraceBuffer", "Tracer", "TracedPolicy"]
 
 WorkerKey = Union[int, str]
 
@@ -124,58 +120,19 @@ class TraceBuffer:
         return pos, out
 
 
-@dataclass
-class TraceSummary:
-    """Compact digest of a traced run, attached to result objects.
-
-    ``staleness`` statistics are in commit epochs (the paper's read
-    delay δ units); ``lock_wait_*`` in seconds (zero for backends
-    without real locks).
-    """
-
-    clock: str = "s"
-    events: int = 0
-    dropped: int = 0
-    workers: int = 0
-    corrections: int = 0
-    reads: int = 0
-    writes: int = 0
-    span: float = 0.0
-    max_staleness: float = 0.0
-    mean_staleness: float = 0.0
-    lock_wait_total: float = 0.0
-    lock_wait_max: float = 0.0
-    residual_first: float = float("nan")
-    residual_last: float = float("nan")
-    alerts: int = 0
-    per_grid_counts: Dict[int, int] = field(default_factory=dict)
-
-    def oneline(self) -> str:
-        return (
-            f"trace: {self.events} events ({self.dropped} dropped) from "
-            f"{self.workers} worker(s), {self.corrections} corrections over "
-            f"{self.span:g} {self.clock}; staleness max/mean = "
-            f"{self.max_staleness:g}/{self.mean_staleness:.2f}; "
-            f"lock-wait total/max = {self.lock_wait_total:.3g}/"
-            f"{self.lock_wait_max:.3g} s"
-        )
-
-
 class Tracer:
     """Per-worker ring buffers plus the run-end merge.
 
     Thread-safety: buffer creation and the thread registry use plain
     dict operations (atomic under the GIL); every *record* goes to a
-    buffer only its owner writes.  The merge (:meth:`events`,
-    :meth:`summary`) is a run-end, single-caller operation.
-    ``metrics`` is the registry the live collector counts its alerts
-    into.
+    buffer only its owner writes.  The merge (:meth:`events`) is a
+    run-end, single-caller operation; readers that want a digest build
+    a :class:`~repro.observe.analyze.TraceAnalyzer` over its result.
     """
 
     def __init__(self, capacity: int = 1 << 16, clock: str = "s") -> None:
         self.capacity = int(capacity)
         self.clock = clock
-        self.metrics = Metrics()
         self._buffers: Dict[WorkerKey, TraceBuffer] = {}
         self._thread_worker: Dict[int, Tuple[WorkerKey, int]] = {}
         self._worker_pids: Dict[WorkerKey, int] = {}
@@ -291,50 +248,6 @@ class Tracer:
                 )
         merged.sort(key=lambda e: e.sort_key)
         return merged
-
-    def summary(self) -> TraceSummary:
-        """Compact digest for attaching to a result object."""
-        events = self.events()
-        per_grid: Dict[int, int] = {}
-        stal: List[float] = []
-        waits: List[float] = []
-        reads = writes = alerts = 0
-        res_first = res_last = float("nan")
-        for ev in events:
-            if ev.kind == CORRECT_END:
-                per_grid[ev.grid] = per_grid.get(ev.grid, 0) + 1
-                if ev.b >= 0:
-                    stal.append(ev.b)
-            elif ev.kind == WRITE:
-                writes += 1
-                waits.append(ev.a)
-            elif ev.kind == READ:
-                reads += 1
-            elif ev.kind == RESIDUAL:
-                if np.isnan(res_first):
-                    res_first = ev.a
-                res_last = ev.a
-            elif ev.kind == ALERT:
-                alerts += 1
-        span = events[-1].t - events[0].t if len(events) > 1 else 0.0
-        return TraceSummary(
-            clock=self.clock,
-            events=len(events),
-            dropped=self.dropped_events,
-            workers=len(self._buffers),
-            corrections=sum(per_grid.values()),
-            reads=reads,
-            writes=writes,
-            span=float(span),
-            max_staleness=max(stal) if stal else 0.0,
-            mean_staleness=float(np.mean(stal)) if stal else 0.0,
-            lock_wait_total=float(sum(waits)),
-            lock_wait_max=max(waits) if waits else 0.0,
-            residual_first=res_first,
-            residual_last=res_last,
-            alerts=alerts,
-            per_grid_counts=per_grid,
-        )
 
 
 class TracedPolicy(WriteObserver):

@@ -74,7 +74,9 @@ class GuardPolicy:
     #: rollback budget; 0 disables rollback entirely
     max_rollbacks: int = 10
     #: engine: micro-steps without progress before a grid is declared
-    #: dead (None = auto, ~5 fault-free V-cycles)
+    #: dead (None = 50 x ngrids x (3 x chunks + 4), chunks being 1 with
+    #: lock-write and 8 with atomic-write: 1050 on three grids with
+    #: lock-write, where a fault-free round takes 9, so ~117 rounds)
     watchdog_microsteps: Optional[int] = None
     #: threaded/distributed: seconds without a heartbeat before a
     #: worker/process is declared dead

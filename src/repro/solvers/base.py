@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +30,7 @@ from ..resilience import FaultTelemetry
 from ..smoothers import Smoother, make_smoother
 from .coarse import CoarseSolver
 
-__all__ = ["SolveResult", "AdditiveMultigrid", "build_level_smoothers"]
+__all__ = ["SolveResult", "AdditiveMultigrid", "build_level_smoothers", "run_cycles"]
 
 
 @dataclass
@@ -70,6 +70,38 @@ class SolveResult:
     @property
     def final_relres(self) -> float:
         return self.residual_history[-1] if self.residual_history else np.inf
+
+
+def run_cycles(
+    method: Any,
+    b: np.ndarray,
+    tmax: int,
+    x0: Optional[np.ndarray],
+    divergence_threshold: float,
+    callback: Optional[Callable[[int, float], None]] = None,
+) -> SolveResult:
+    """Run ``tmax`` synchronous ``method.cycle`` calls, recording
+    relative residuals; a non-finite residual or one past
+    ``divergence_threshold`` ends the loop as diverged.
+
+    The residual-norm recording happens *outside* the method (as in
+    the paper, which never evaluates norms inside the solve loop).
+    """
+    x = np.zeros(method.n) if x0 is None else np.array(x0, dtype=np.float64)
+    res = SolveResult(x=x)
+    for t in range(1, tmax + 1):
+        x = method.cycle(x, b)
+        rel = rel_residual_norm(method.A, x, b)
+        res.residual_history.append(rel)
+        res.cycles = t
+        res.corrections += method.ngrids
+        if callback is not None:
+            callback(t, rel)
+        if not np.isfinite(rel) or rel > divergence_threshold:
+            res.diverged = True
+            break
+    res.x = x
+    return res
 
 
 def build_level_smoothers(
@@ -164,25 +196,9 @@ class AdditiveMultigrid(ABC):
         divergence_threshold: float = 1e6,
         callback: Optional[Callable[[int, float], None]] = None,
     ) -> SolveResult:
-        """Run ``tmax`` synchronous cycles, recording relative residuals.
-
-        The residual-norm recording happens *outside* the method (as in
-        the paper, which never evaluates norms inside the solve loop).
-        """
-        x = np.zeros(self.n) if x0 is None else np.array(x0, dtype=np.float64)
-        res = SolveResult(x=x)
-        for t in range(1, tmax + 1):
-            x = self.cycle(x, b)
-            rel = rel_residual_norm(self.A, x, b)
-            res.residual_history.append(rel)
-            res.cycles = t
-            res.corrections += self.ngrids
-            if callback is not None:
-                callback(t, rel)
-            if not np.isfinite(rel) or rel > divergence_threshold:
-                res.diverged = True
-                break
-        res.x = x
+        """Run ``tmax`` synchronous cycles (:func:`run_cycles`); with no
+        cycle run there is no residual, and the result reads diverged."""
+        res = run_cycles(self, b, tmax, x0, divergence_threshold, callback)
         res.diverged = res.diverged or not np.isfinite(res.final_relres)
         return res
 

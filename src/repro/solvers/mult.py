@@ -15,8 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..amg import Hierarchy
-from ..linalg import rel_residual_norm
-from .base import SolveResult, build_level_smoothers
+from .base import SolveResult, build_level_smoothers, run_cycles
 from .coarse import CoarseSolver
 
 __all__ = ["MultiplicativeMultigrid"]
@@ -110,20 +109,8 @@ class MultiplicativeMultigrid:
         x0: Optional[np.ndarray] = None,
         divergence_threshold: float = 1e6,
     ) -> SolveResult:
-        """Run ``tmax`` V-cycles, recording relative residual norms."""
-        x = np.zeros(self.n) if x0 is None else np.array(x0, dtype=np.float64)
-        res = SolveResult(x=x)
-        for t in range(1, tmax + 1):
-            x = self.cycle(x, b)
-            rel = rel_residual_norm(self.A, x, b)
-            res.residual_history.append(rel)
-            res.cycles = t
-            res.corrections += self.ngrids
-            if not np.isfinite(rel) or rel > divergence_threshold:
-                res.diverged = True
-                break
-        res.x = x
-        return res
+        """Run ``tmax`` cycles (:func:`~repro.solvers.base.run_cycles`)."""
+        return run_cycles(self, b, tmax, x0, divergence_threshold)
 
     # ------------------------------------------------------------------
     def residual_flops(self) -> float:

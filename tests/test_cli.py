@@ -1,5 +1,7 @@
 """Unit tests for the CLI."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -52,6 +54,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "async multadd" in out
         assert "corrects" in out
+
+    def test_distributed_guard_restarts_a_crashed_grid_promptly(self, capsys):
+        # The guard's timeouts are simulated seconds on this backend: a
+        # wall-clock-sized watchdog would let the survivors spin for
+        # ~10^5 corrections each before the crashed grid restarts.
+        rc = main(
+            [
+                "solve", "--set", "27pt", "--size", "8", "--run-async",
+                "--backend", "distributed", "--guards", "--faults", "crash:1@5",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        corrects = float(re.search(r"corrects = ([0-9.]+)", out).group(1))
+        assert corrects < 1000
+        assert "restarts=1" in out
 
     def test_async_mult_rejected(self, capsys):
         rc = main(

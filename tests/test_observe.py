@@ -165,7 +165,9 @@ class TestTracer:
         for i in range(5):
             tr.record("read", 0, float(i))
         assert tr.dropped_events == 3
-        assert tr.summary().dropped == 3
+        an = TraceAnalyzer(tr.events(), {"clock": tr.clock})
+        assert len(an.events) == 2
+        assert "(3 dropped)" in an.oneline(tr.dropped_events, len(tr.buffers()))
 
     def test_summary_digest(self):
         tr = Tracer(clock="steps")
@@ -173,12 +175,13 @@ class TestTracer:
         tr.record("correct_end", 0, 4.0, a=1.0, b=2.0)
         tr.record("residual", 0, 4.0, a=0.5, tag="global")
         tr.record("residual", 0, 9.0, a=0.125, tag="global")
-        s = tr.summary()
-        assert s.corrections == 1
-        assert s.max_staleness == 2.0
-        assert s.residual_first == 0.5 and s.residual_last == 0.125
-        assert s.per_grid_counts == {0: 1}
-        assert "1 corrections" in s.oneline()
+        an = TraceAnalyzer(tr.events(), {"clock": tr.clock})
+        assert an.per_grid_counts() == {0: 1}
+        assert an.max_staleness() == 2.0
+        assert [v for _, v in an.residual_series()] == [0.5, 0.125]
+        line = an.oneline(tr.dropped_events, len(tr.buffers()))
+        assert "1 corrections over 9 steps" in line
+        assert "staleness max/mean = 2/2.00" in line
 
 
 class TestTracedPolicy:

@@ -2,11 +2,12 @@
 
 Covers the trace-determinism satellite (engine fixed-seed streams,
 threaded merge consistency), the analyzer's model-conformance bridge,
-TraceSummary attachment on all three result dataclasses, and a CLI
-smoke of ``repro trace run/report/export``.
+the trace digest of all three backends, and CLI smokes of ``repro
+trace run/report/export`` and ``repro solve --trace``.
 """
 
 import json
+import re
 
 import pytest
 
@@ -63,11 +64,13 @@ class TestEngineTracing:
 
     def test_summary_attached_and_optional(self, solver, b_7pt):
         res, tracer = engine_events(solver, b_7pt)
-        assert res.trace_summary is not None
-        assert res.trace_summary.clock == "steps"
-        assert res.trace_summary.corrections == sum(res.counts)
-        bare = run_async_engine(solver, b_7pt, tmax=4, seed=3)
-        assert bare.trace_summary is None
+        an = TraceAnalyzer(tracer.events(), {"clock": tracer.clock})
+        assert an.clock == "steps"
+        assert sum(an.per_grid_counts().values()) == sum(res.counts)
+        # Tracing is optional: the same run without a tracer lands on
+        # the same iterate.
+        bare = run_async_engine(solver, b_7pt, tmax=6, seed=3)
+        assert (bare.x == res.x).all() and (bare.counts == res.counts).all()
 
     def test_staleness_is_bounded_by_epochs(self, solver, b_7pt):
         res, tracer = engine_events(solver, b_7pt)
@@ -86,9 +89,9 @@ class TestThreadedTracing:
 
     def test_summary_attached(self, run):
         res, tracer = run
-        assert res.trace_summary is not None
-        assert res.trace_summary.clock == "s"
-        assert res.trace_summary.corrections == sum(res.counts)
+        an = TraceAnalyzer(tracer.events(), {"clock": tracer.clock})
+        assert an.clock == "s"
+        assert sum(an.per_grid_counts().values()) == sum(res.counts)
 
     def test_merged_stream_happens_before(self, run):
         """Per grid, the merged stream alternates begin/end and carries
@@ -145,9 +148,9 @@ class TestDistributedTracing:
 
     def test_summary_attached(self, run):
         res, tracer = run
-        assert res.trace_summary is not None
-        assert res.trace_summary.clock == "sim"
-        assert res.trace_summary.corrections == sum(res.counts)
+        an = TraceAnalyzer(tracer.events(), {"clock": tracer.clock})
+        assert an.clock == "sim"
+        assert sum(an.per_grid_counts().values()) == sum(res.counts)
 
     def test_fixed_seed_streams_identical(self, solver, b_7pt):
         t1, t2 = Tracer(clock="sim"), Tracer(clock="sim")
@@ -217,6 +220,25 @@ class TestCliTrace:
         doc = json.loads(chrome.read_text())
         assert doc["traceEvents"]
         assert csv.read_text().startswith("t,relres")
+
+    def test_solve_trace_digest_matches_file(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "solve.jsonl"
+        argv = [
+            "solve", "--set", "7pt", "--size", "6", "--run-async",
+            "--backend", "engine", "--tmax", "6", "--trace", str(out),
+        ]
+        assert main(argv) == 0
+        (line,) = [
+            ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("trace: wrote")
+        ]
+        m = re.search(r"trace: (\d+) events .* (\d+) corrections over", line)
+        _, evs = read_events_jsonl(out)
+        an = TraceAnalyzer.from_file(out)
+        assert int(m.group(1)) == len(evs) == len(an.events) > 0
+        ends = sum(1 for e in evs if e.kind == "correct_end")
+        assert int(m.group(2)) == ends == sum(an.per_grid_counts().values()) > 0
 
     def test_solve_trace_requires_async(self, capsys):
         from repro.cli import main
