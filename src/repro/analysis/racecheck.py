@@ -272,8 +272,9 @@ def run_conformance(
     tmax: int = 5,
     criterion: str = "criterion1",
 ) -> ModelConformanceReport:
-    """Run one instrumented threaded local-res solve (stripes of 1024
-    entries, at most 120 s) and report model conformance.
+    """Run one instrumented threaded local-res solve (stripes of
+    :data:`~repro.core.writes.STRIPE` entries, at most 120 s) and report
+    model conformance.
 
     ``delta`` is the staleness bound to verify against, in commit
     epochs.  Under criterion 1 every grid performs exactly ``tmax``
@@ -301,7 +302,6 @@ def run_conformance(
         rescomp="local",
         write=write,
         criterion=criterion,
-        stripe=1024,
         timeout=120.0,
         observe=observe,
     )

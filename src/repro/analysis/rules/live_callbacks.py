@@ -12,7 +12,7 @@ flushes on its own schedule, the metrics server owns its sockets), not
 in ``update``/``_check`` or an ``on_*`` handler.
 
 This rule flags, inside any function named ``on_*``/``_on_*`` and
-inside the ``update``/``_check``/``_observe`` methods of ``*Detector``
+inside the ``update``/``_check`` methods of ``*Detector``
 classes: ``time.sleep``/``sleep`` calls, ``open()``, blocking socket
 methods (``connect``/``accept``/``recv``/``recvfrom``/``send``/
 ``sendall``), lock ``.acquire()``, and file-like ``.write()``/
@@ -46,9 +46,9 @@ _BLOCKING_METHODS = {
 
 def _callback_defs(tree: ast.AST) -> List[ast.FunctionDef]:
     """The defs this rule audits: ``on_*`` functions anywhere, plus
-    ``update``/``_check``/``_observe`` methods of ``*Detector`` classes."""
+    ``update``/``_check`` methods of ``*Detector`` classes."""
     out: List[ast.FunctionDef] = []
-    detector_methods = {"update", "_check", "_observe"}
+    detector_methods = {"update", "_check"}
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef):
             if node.name.startswith("on_") or node.name.startswith("_on_"):

@@ -35,7 +35,7 @@ MEMBERSHIP_NAMES = frozenset(
         "rank_state",
         "last_heard",
         "rank_grid",
-        "below_min",
+        "no_ranks_left",
     }
 )
 

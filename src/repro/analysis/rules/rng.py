@@ -9,11 +9,17 @@ random decision to come from an explicitly seeded
   ``np.random.normal``, ...) — global, shared, order-dependent state
   that any import can perturb;
 - ``np.random.default_rng()`` with no seed — a fresh OS-entropy stream
-  per call, unreproducible by construction.
+  per call, unreproducible by construction;
+- a seed computed with ``hash(...)`` — the hash of a ``str`` (or of a
+  tuple holding one) is salted per process, so the stream changes with
+  ``PYTHONHASHSEED``.  A seed is an argument of ``default_rng`` or a
+  bit-generator / ``SeedSequence`` constructor, a ``seed=`` keyword, or
+  a value assigned to a name containing ``seed``.
 
 Seeded construction (``default_rng(seed)``, ``SeedSequence`` /
 ``spawn`` for independent streams, explicit ``Generator`` /
-``BitGenerator`` classes) stays allowed.
+``BitGenerator`` classes) stays allowed, and
+:func:`repro.utils.seeds.stable_seed` derives a seed from a key.
 """
 
 from __future__ import annotations
@@ -40,23 +46,53 @@ ALLOWED = frozenset(
     }
 )
 
+#: constructors whose arguments are seeds
+SEED_SINKS = frozenset(ALLOWED - {"Generator", "BitGenerator"})
+
+
+def _hash_calls(expr: ast.AST) -> List[ast.Call]:
+    return [
+        n
+        for n in ast.walk(expr)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "hash"
+    ]
+
+
+def _seed_exprs(node: ast.AST) -> List[ast.AST]:
+    """The expressions ``node`` uses as a seed."""
+    if isinstance(node, ast.Call):
+        fn = node.func
+        name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
+        if name in SEED_SINKS:
+            return [*node.args, *(k.value for k in node.keywords)]
+        return [k.value for k in node.keywords if k.arg == "seed"]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for t in targets:
+            name = t.attr if isinstance(t, ast.Attribute) else getattr(t, "id", "")
+            if "seed" in name.lower():
+                return [node.value]
+    return []
+
 
 class SeededRngRule(Rule):
     code = "RPR003"
     name = "seeded-generator-rng"
     description = (
         "randomness must come from seeded numpy Generators; the legacy "
-        "module-level RNG and unseeded default_rng() are forbidden"
+        "module-level RNG, unseeded default_rng() and seeds computed "
+        "with hash() are forbidden"
     )
     hint = (
         "use np.random.default_rng(seed) (and SeedSequence.spawn for "
-        "independent streams) instead"
+        "independent streams, stable_seed(key) for a seed from a key) instead"
     )
     scope = ()
 
     def check(self, tree: ast.AST, source: str, relpath: str) -> List[Finding]:
         findings: List[Finding] = []
         numpy_aliases: Set[str] = set()
+        hashed: Set[int] = set()  # hash() calls already reported
         random_aliases: Set[str] = set()  # names bound to numpy.random
         default_rng_aliases: Set[str] = set()
 
@@ -120,4 +156,17 @@ class SeededRngRule(Rule):
                             "irreproducible by construction",
                         )
                     )
+            for expr in _seed_exprs(node):
+                for call in _hash_calls(expr):
+                    if id(call) not in hashed:
+                        hashed.add(id(call))
+                        findings.append(
+                            self.finding(
+                                relpath,
+                                call,
+                                "seed computed with hash() — salted per "
+                                "process, so the stream changes with "
+                                "PYTHONHASHSEED",
+                            )
+                        )
         return findings

@@ -284,12 +284,14 @@ def _cmd_solve(args) -> int:
                 "seed": args.seed,
             }
             write_events_jsonl(events, trace_path, meta=meta)
-            digest = TraceAnalyzer(events, meta).oneline(
-                tracer.dropped_events, len(tracer.buffers())
-            )
+            digest = TraceAnalyzer(events, meta).oneline(tracer.dropped_events)
             print(f"trace: wrote {trace_path} — {digest}")
     else:
-        res = solver.solve(problem.b, tmax=args.tmax)
+        try:
+            res = solver.solve(problem.b, tmax=args.tmax)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(
             f"sync {args.method}: relres after {res.cycles} cycles = "
             f"{res.final_relres:.6e}, diverged = {res.diverged}"
@@ -312,7 +314,7 @@ def _dispatch_async(
     if args.backend == "distributed":
         elastic = None
         if args.elastic or churn is not None or args.ranks is not None:
-            elastic = ElasticityPolicy(seed=args.seed)
+            elastic = ElasticityPolicy()
         res = simulate_distributed(
             solver,
             problem.b,

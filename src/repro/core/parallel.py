@@ -89,7 +89,7 @@ from .run import (
     correction_loop,
     row_blocks,
 )
-from .writes import WRITES, lock_count, make_write_policy
+from .writes import STRIPE, WRITES, lock_count, make_write_policy
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.observe
     from ..observe.live import LiveConfig
@@ -344,7 +344,6 @@ class _WorkerConfig:
     rescomp: str
     write: str
     criterion: str
-    stripe: int
     alpha: float
     seed: int
     deterministic: bool
@@ -460,8 +459,8 @@ def _worker_loop(
     n = sv.layout.n
     A = solver.A
     b = np.array(sv.b, copy=True)  # private RHS replica
-    xpol = make_write_policy(cfg.write, n, cfg.stripe, locks_x)
-    rpol = make_write_policy(cfg.write, n, cfg.stripe, locks_r)
+    xpol = make_write_policy(cfg.write, n, locks=locks_x)
+    rpol = make_write_policy(cfg.write, n, locks=locks_r)
     crit = Criterion(cfg.criterion, cfg.tmax, sv.counts, sv.flags[_FLAG_DONE : _FLAG_DONE + 1])
     # Offset the stochastic fault streams per worker so concurrent
     # workers don't draw identical corruption patterns; deterministic
@@ -566,7 +565,6 @@ def run_procs(
     rescomp: str = "local",
     write: str = "lock",
     criterion: str = "criterion1",
-    stripe: int = 1024,
     x0: Optional[np.ndarray] = None,
     divergence_threshold: float = 1e6,
     timeout: float = 600.0,
@@ -641,10 +639,10 @@ def run_procs(
         sv.x[...] = x_start
         sv.b[...] = b
         sv.r[...] = b - A @ x_start
-        locks_x = _make_locks(write, n, stripe, mpctx)
-        locks_r = _make_locks(write, n, stripe, mpctx)
-        xpol = make_write_policy(write, n, stripe, locks_x)
-        rpol = make_write_policy(write, n, stripe, locks_r)
+        locks_x = _make_locks(write, n, STRIPE, mpctx)
+        locks_r = _make_locks(write, n, STRIPE, mpctx)
+        xpol = make_write_policy(write, n, locks=locks_x)
+        rpol = make_write_policy(write, n, locks=locks_r)
         crit = Criterion(criterion, tmax, sv.counts, sv.flags[_FLAG_DONE : _FLAG_DONE + 1])
 
         def stop() -> None:
@@ -672,7 +670,6 @@ def run_procs(
             rescomp=rescomp,
             write=write,
             criterion=criterion,
-            stripe=stripe,
             alpha=alpha,
             seed=seed,
             deterministic=deterministic,

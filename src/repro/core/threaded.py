@@ -66,7 +66,6 @@ def run_threaded(
     rescomp: str = "local",
     write: str = "lock",
     criterion: str = "criterion1",
-    stripe: int = 1024,
     x0: Optional[np.ndarray] = None,
     divergence_threshold: float = 1e6,
     timeout: float = 600.0,
@@ -133,8 +132,8 @@ def run_threaded(
     r = b - A @ x
     r_start = start_residual(A, b, x0)
 
-    xpol = make_write_policy(write, n, stripe)
-    rpol = make_write_policy(write, n, stripe)
+    xpol = make_write_policy(write, n)
+    rpol = make_write_policy(write, n)
     traced_x: Optional["TracedPolicy"] = None
     if tracer is not None:
         # Imported lazily: repro.observe imports repro.core.writes, so a

@@ -64,6 +64,9 @@ __all__ = [
 
 WRITES = ("lock", "atomic", "unsafe")
 
+#: entries per stripe of the executors' ``atomic`` policies
+STRIPE = 1024
+
 #: The sweep's operations, as an observer sees them.
 ADD, ASSIGN, READ = "add", "assign", "read"
 
@@ -215,7 +218,7 @@ class AtomicWrite(WritePolicy):
 
     name = "atomic"
 
-    def __init__(self, n: int, stripe: int = 1024, locks: Optional[Sequence[Any]] = None) -> None:
+    def __init__(self, n: int, stripe: int = STRIPE, locks: Optional[Sequence[Any]] = None) -> None:
         need = lock_count(self.name, n, stripe)
         if locks is None:
             locks = [threading.Lock() for _ in range(need)]
@@ -234,7 +237,7 @@ class UnsafeWrite(WritePolicy):
 
 
 def make_write_policy(
-    name: str, n: int, stripe: int = 1024, locks: Optional[Sequence[Any]] = None
+    name: str, n: int, stripe: int = STRIPE, locks: Optional[Sequence[Any]] = None
 ) -> WritePolicy:
     """Build a write policy by name (one of :data:`WRITES`).
 

@@ -38,12 +38,10 @@ no barrier, so losing contributors only slows convergence, exactly the
 robustness argument of the fault-tolerance literature (Coleman &
 Sosonkina) transplanted onto the paper's method.
 
-Determinism: membership draws (heartbeat jitter, retry-backoff jitter)
-come from private streams spawned from ``ElasticityPolicy.seed`` —
-never from the simulator's compute-jitter RNG or the network's
-streams — and :func:`ChurnPlan.random` seeds its own generator, so
-enabling elasticity never perturbs an existing seeded message trace,
-and a churn-free elastic run is bit-identical to the plain simulator.
+Determinism: membership draws nothing at all, and
+:func:`ChurnPlan.random` seeds its own generator, so enabling
+elasticity never perturbs an existing seeded message trace, and a
+churn-free elastic run is bit-identical to the plain simulator.
 
 All membership state lives in vectorised per-rank numpy arrays and is
 mutated **only** by :class:`MembershipManager` methods (enforced by
@@ -60,6 +58,7 @@ import numpy as np
 
 from ..partition import partition_ranks
 from ..resilience import FaultTelemetry
+from ..resilience.faults import split_clauses
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.observe
     from ..observe.tracer import Tracer
@@ -173,7 +172,8 @@ class ChurnPlan:
 def parse_churn_spec(spec: str) -> ChurnPlan:
     """Parse the CLI's compact churn spec into a :class:`ChurnPlan`.
 
-    Same clause grammar as :func:`repro.resilience.parse_fault_spec`:
+    Same clause grammar as :func:`repro.resilience.parse_fault_spec`
+    (both tokenize with :func:`~repro.resilience.faults.split_clauses`):
     ``;``-separated ``kind:rank@time`` clauses with ``,``-separated
     ``key=value`` options::
 
@@ -187,22 +187,7 @@ def parse_churn_spec(spec: str) -> ChurnPlan:
     before the ``@`` and the window after it.
     """
     events: List[ChurnEvent] = []
-    for raw in spec.split(";"):
-        clause = raw.strip()
-        if not clause:
-            continue
-        kind, _, rest = clause.partition(":")
-        kind = kind.strip().lower()
-        opts: Dict[str, str] = {}
-        positional: Optional[str] = None
-        for tok in filter(None, (t.strip() for t in rest.split(","))):
-            if "=" in tok:
-                key, _, val = tok.partition("=")
-                opts[key.strip()] = val.strip()
-            elif positional is None:
-                positional = tok
-            else:
-                raise ValueError(f"cannot parse churn clause {clause!r}")
+    for clause, kind, positional, opts in split_clauses(spec, "churn"):
         try:
             if kind == "random":
                 if positional is None or "@" not in positional:
@@ -251,38 +236,22 @@ def parse_churn_spec(spec: str) -> ChurnPlan:
 
 @dataclass(frozen=True)
 class ElasticityPolicy:
-    """Knobs of the membership protocol (all times simulated seconds).
-
-    ``suspect_timeout`` / ``evict_timeout`` default to 3× / 6× the
-    heartbeat interval.  ``heartbeat_jitter`` (fraction of the
-    interval) and ``retry_jitter`` (fraction of the backoff) draw from
-    private streams spawned from ``seed`` — zero means no draw at all,
-    which is the bit-identity default.  ``min_ranks`` ends the run as
-    *stalled* (not degraded) if believed membership ever falls below it.
-    """
+    """The membership protocol's heartbeat interval (simulated seconds);
+    a rank is suspected after 3 and evicted after 6 silent intervals."""
 
     heartbeat_interval: float = 1e-3
-    suspect_timeout: Optional[float] = None
-    evict_timeout: Optional[float] = None
-    heartbeat_jitter: float = 0.0
-    retry_jitter: float = 0.0
-    min_ranks: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0.0:
             raise ValueError("heartbeat_interval must be positive")
-        if self.suspect_timeout is None:
-            object.__setattr__(self, "suspect_timeout", 3.0 * self.heartbeat_interval)
-        if self.evict_timeout is None:
-            object.__setattr__(self, "evict_timeout", 6.0 * self.heartbeat_interval)
-        assert self.suspect_timeout is not None and self.evict_timeout is not None
-        if not 0.0 < self.suspect_timeout < self.evict_timeout:
-            raise ValueError("need 0 < suspect_timeout < evict_timeout")
-        if self.heartbeat_jitter < 0.0 or self.retry_jitter < 0.0:
-            raise ValueError("jitter fractions must be non-negative")
-        if self.min_ranks < 1:
-            raise ValueError("min_ranks must be >= 1")
+
+    @property
+    def suspect_timeout(self) -> float:
+        return 3.0 * self.heartbeat_interval
+
+    @property
+    def evict_timeout(self) -> float:
+        return 6.0 * self.heartbeat_interval
 
 
 class MembershipManager:
@@ -330,10 +299,9 @@ class MembershipManager:
         self.rank_state = np.full(n, ACTIVE, dtype=np.int8)
         self.last_heard = np.zeros(n, dtype=np.float64)
         self.rank_grid = np.full(n, -1, dtype=np.int64)
-        streams = np.random.SeedSequence(self.policy.seed).spawn(2)
-        self._rng_hb = np.random.default_rng(streams[0])
-        self._rng_retry = np.random.default_rng(streams[1])
-        self.below_min = False
+        #: set once the protocol believes no rank is left; the
+        #: simulator then ends the run as stalled, not degraded
+        self.no_ranks_left = False
         if n:
             self._assign(partition_ranks(self.work, n))
 
@@ -395,18 +363,7 @@ class MembershipManager:
         """
         pol = self.policy
         beating = self.alive & (self.stall_until <= t)
-        if np.any(beating):
-            if pol.heartbeat_jitter > 0.0:
-                # Beats arrive slightly early — jitter only smears the
-                # detector's view, drawn from the private hb stream.
-                lag = self._rng_hb.uniform(
-                    0.0,
-                    pol.heartbeat_jitter * pol.heartbeat_interval,
-                    size=int(beating.sum()),
-                )
-                self.last_heard[beating] = t - lag
-            else:
-                self.last_heard[beating] = t
+        self.last_heard[beating] = t
         changed = False
         silent_for = t - self.last_heard
         admitted = beating & (self.rank_state == JOINING)
@@ -423,7 +380,6 @@ class MembershipManager:
             for r in np.flatnonzero(recovered):
                 self._trace("member", int(r), t, a=float(self.rank_grid[r]), tag="recover")
             # assignment kept — a recovery alone does not repartition
-        assert pol.suspect_timeout is not None and pol.evict_timeout is not None
         suspects = (
             (self.rank_state == ACTIVE) & ~beating & (silent_for > pol.suspect_timeout)
         )
@@ -442,8 +398,8 @@ class MembershipManager:
             for r in np.flatnonzero(evicted):
                 self._trace("member", int(r), t, tag="evict")
             changed = True
-        if self.believed_ranks() < self.policy.min_ranks:
-            self.below_min = True
+        if self.believed_ranks() == 0:
+            self.no_ranks_left = True
         return changed
 
     def repartition(self, t: float) -> Tuple[np.ndarray, List[int]]:
@@ -546,14 +502,6 @@ class MembershipManager:
             ) == 0)
         ) if self.alive.size else 0
         return out
-
-    def retry_backoff_factor(self) -> float:
-        """Multiplier for one retransmission backoff — 1.0 (no draw)
-        unless the policy enables retry jitter."""
-        j = self.policy.retry_jitter
-        if j <= 0.0:
-            return 1.0
-        return float(1.0 + j * self._rng_retry.uniform())
 
     # -- internals ------------------------------------------------------
     def _assign(self, teams: np.ndarray) -> None:

@@ -3,21 +3,21 @@
 Message transfer time follows the classic alpha-beta (latency +
 bandwidth) model with optional per-message jitter:
 
-    T(bytes) = latency * (1 + jitter) + bytes / bandwidth
+    T(bytes) = latency * (1 + jitter) + bytes / BANDWIDTH
 
-Per-link latencies can be overridden with a matrix, which lets the
-benchmarks place grids "far" from each other (e.g. a fat-tree with the
-coarse grids on a remote island).
+Every link has the same latency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-__all__ = ["NetworkModel"]
+__all__ = ["BANDWIDTH", "NetworkModel"]
+
+#: link bandwidth, bytes per second (10 GB/s)
+BANDWIDTH = 1.0e10
 
 
 @dataclass
@@ -29,12 +29,8 @@ class NetworkModel:
     latency:
         Base one-way message latency in seconds (default 1 us — a
         fast interconnect).
-    bandwidth:
-        Link bandwidth in bytes/second (default 10 GB/s).
     jitter:
         Relative standard deviation of the per-message latency noise.
-    latency_matrix:
-        Optional ``(nprocs, nprocs)`` per-link latency override.
     drop_probability:
         Probability that a message is silently lost (lossy transport /
         no retransmission — the regime an asynchronous method must
@@ -47,45 +43,27 @@ class NetworkModel:
     """
 
     latency: float = 1.0e-6
-    bandwidth: float = 1.0e10
     jitter: float = 0.1
-    latency_matrix: Optional[np.ndarray] = None
     drop_probability: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.latency < 0 or self.bandwidth <= 0 or self.jitter < 0:
-            raise ValueError("latency/bandwidth/jitter must be non-negative (bw > 0)")
+        if self.latency < 0 or self.jitter < 0:
+            raise ValueError("latency/jitter must be non-negative")
         if not 0.0 <= self.drop_probability < 1.0:
             raise ValueError("drop_probability must be in [0, 1)")
-        if self.latency_matrix is not None:
-            m = np.asarray(self.latency_matrix, dtype=np.float64)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError("latency_matrix must be square")
-            if np.any(m < 0):
-                raise ValueError("latencies must be non-negative")
-            object.__setattr__(self, "latency_matrix", m)
         jitter_stream, drop_stream = np.random.SeedSequence(self.seed).spawn(2)
         self._rng_jitter = np.random.default_rng(jitter_stream)
         self._rng_drop = np.random.default_rng(drop_stream)
 
-    def link_latency(self, src: int, dst: int) -> float:
-        """Base latency of the (src, dst) link."""
-        if self.latency_matrix is not None:
-            n = self.latency_matrix.shape[0]
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValueError(f"process id out of range for {n}-node network")
-            return float(self.latency_matrix[src, dst])
-        return self.latency
-
-    def transfer_time(self, src: int, dst: int, nbytes: float) -> float:
+    def transfer_time(self, nbytes: float) -> float:
         """Sampled wall-clock for one message of ``nbytes``."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        lat = self.link_latency(src, dst)
+        lat = self.latency
         if self.jitter > 0:
             lat *= 1.0 + abs(float(self._rng_jitter.normal(0.0, self.jitter)))
-        return lat + nbytes / self.bandwidth
+        return lat + nbytes / BANDWIDTH
 
     def dropped(self) -> bool:
         """Sample whether the next message is lost in transit."""

@@ -57,8 +57,8 @@ cancellation — a dead team's in-flight correction dies with it) and a
 :class:`~repro.distributed.events.DedupIndex`; per-rank state is
 vectorised numpy, so churn runs at 1k+ ranks complete in seconds.  A
 churn-free elastic run is bit-identical to a plain run under the same
-seeds: membership draws come from private streams and heartbeat scans
-touch neither the compute-jitter RNG nor the event budget.
+seeds: membership draws no random numbers, and heartbeat scans touch
+neither the compute-jitter RNG nor the event budget.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def simulate_distributed(
     elastic_on = (
         elastic is not None or nranks is not None or (churn is not None and churn.active)
     )
-    pol = elastic if elastic is not None else ElasticityPolicy(seed=seed)
+    pol = elastic if elastic is not None else ElasticityPolicy()
     nranks_val = int(nranks) if nranks is not None else nthreads_total
     if elastic_on and nranks_val < 1:
         raise ValueError("nranks must be >= 1")
@@ -282,8 +282,6 @@ def simulate_distributed(
                 tracer.record("msg", dst, t, float(mid), float(src), "drop")
             if grd is not None and attempt < MAX_RETRANSMITS:
                 backoff = guard.retransmit_timeout * (2.0**attempt)
-                if elastic_on:
-                    backoff *= mm.retry_backoff_factor()
                 q.push(t + backoff, "retransmit", dst, (src, vec, mid, attempt + 1))
                 telemetry.bump("retransmissions")
                 if tracer is not None:
@@ -293,7 +291,7 @@ def simulate_distributed(
             else:
                 telemetry.bump("messages_lost")
             return
-        lat = net.transfer_time(src, dst, msg_bytes)
+        lat = net.transfer_time(msg_bytes)
         if injector is not None:
             factor = injector.message_delay_factor()
             if factor is not None:
@@ -307,7 +305,7 @@ def simulate_distributed(
         if tracer is not None:
             tracer.record("msg", src, t, float(mid), float(dst), "send")
         if injector is not None and injector.message_duplicated():
-            q.push(arr + net.link_latency(src, dst), "msg", dst, (src, mid, vec))
+            q.push(arr + net.latency, "msg", dst, (src, mid, vec))
             telemetry.bump("messages_duplicated")
 
     def start_compute(k: int, t: float) -> None:
@@ -367,9 +365,8 @@ def simulate_distributed(
         for g in handoffs:
             if mm.grid_down[g]:
                 continue
-            peer = (g + 1) % ngrids
             # A grid checkpoint is its replica: one update message's bytes.
-            dt = net.transfer_time(peer, g, msg_bytes)
+            dt = net.transfer_time(msg_bytes)
             telemetry.bump("handoffs")
             if tracer is not None:
                 tracer.record("member", g, t, dt, 0.0, "handoff")
@@ -500,8 +497,7 @@ def simulate_distributed(
             if tracer is not None:
                 tracer.record("guard", proc, t, tag="restart")
             # Replica re-sync: one state transfer from a peer.
-            peer = (proc + 1) % ngrids
-            t_sync = t + net.transfer_time(peer, proc, msg_bytes)
+            t_sync = t + net.transfer_time(msg_bytes)
             resync_replica(proc)
             dedup.clear_rank(proc)
             if keep_going(proc):
@@ -537,7 +533,7 @@ def simulate_distributed(
         elif kind == "hb":
             if mm.scan(t):
                 do_repartition(t)
-            if mm.below_min:
+            if mm.no_ranks_left:
                 stalled = True
                 break
             if q.pending() - q.pending("hb") > 0:

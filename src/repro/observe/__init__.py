@@ -33,7 +33,7 @@ CLI: ``repro trace run | report | export``, ``repro solve
 --trace out.jsonl`` and ``repro solve --live`` / ``repro top``.
 """
 
-from .alerts import Alert, Detector, default_detectors
+from .alerts import Alert, Detector
 from .analyze import TraceAnalyzer
 from .events import Event
 from .exporters import (
@@ -76,7 +76,6 @@ __all__ = [
     "TraceAnalyzer",
     "Alert",
     "Detector",
-    "default_detectors",
     "LiveConfig",
     "LiveSession",
     "LiveSnapshot",

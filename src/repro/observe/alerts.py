@@ -2,11 +2,12 @@
 
 The post-hoc :class:`~repro.observe.analyze.TraceAnalyzer` can tell
 you *after* a run that it stagnated, oscillated, or blew through the
-paper's delay bound δ; this module makes the same judgements *while
-the solve runs*, from the :class:`~repro.observe.live.LiveSnapshot`
-stream.  Each :class:`Detector` is a small piece of sliding-window
-state updated once per snapshot (on the collector's thread, never on
-a solve thread); when it trips it returns an :class:`Alert`, which
+paper's delay bound δ; this module makes the first two judgements
+*while the solve runs* (δ stays with ``repro trace report --delta``),
+from the :class:`~repro.observe.live.LiveSnapshot` stream.  Each
+:class:`Detector` is a small piece of sliding-window state updated
+once per snapshot (on the collector's thread, never on a solve
+thread); when it trips it returns an :class:`Alert`, which
 the collector records into the trace as a typed ``alert`` event and,
 optionally, feeds to the executor's stop hook so the existing guard
 machinery (rollback budgets, watchdog accounting) takes over.
@@ -27,9 +28,6 @@ Detectors
   significant amplitude: the signature of an unstable async
   configuration that additive damping (Murray & Weinzierl,
   arXiv:1903.10367) is designed to rescue.
-- :class:`StalenessDetector` — observed read staleness exceeded the
-  configured delay bound δ (Section III's model assumption, checked
-  in flight).
 - :class:`HeartbeatGapDetector` — one worker's event stream went
   quiet while its peers kept progressing (a stall/crash seen from the
   outside, before the supervisor's watchdog window closes).
@@ -39,7 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Deque, Dict, List, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .live import LiveSnapshot
@@ -50,9 +48,7 @@ __all__ = [
     "StagnationDetector",
     "DivergenceDetector",
     "OscillationDetector",
-    "StalenessDetector",
     "HeartbeatGapDetector",
-    "default_detectors",
 ]
 
 #: alert kinds, as they appear in ``alert`` event tags
@@ -60,7 +56,6 @@ ALERT_KINDS: Tuple[str, ...] = (
     "stagnation",
     "divergence",
     "oscillation",
-    "staleness_spike",
     "heartbeat_gap",
 )
 
@@ -96,48 +91,43 @@ class Alert:
 class Detector:
     """Base class: sliding-window state + a per-snapshot ``update``.
 
-    ``cooldown`` suppresses re-firing for that many subsequent
+    ``COOLDOWN`` suppresses re-firing for that many subsequent
     snapshots after a hit, so a persistent condition produces a
     heartbeat of alerts rather than one per 100 ms tick.
     """
 
     kind: str = "abstract"
+    COOLDOWN = 10
 
-    def __init__(self, cooldown: int = 10) -> None:
-        self.cooldown = int(cooldown)
+    def __init__(self) -> None:
         self._quiet = 0
 
     def update(self, snap: "LiveSnapshot") -> List[Alert]:
         """Consume one snapshot; return the alerts it triggers."""
         if self._quiet > 0:
             self._quiet -= 1
-            self._observe(snap)
+            self._check(snap)  # keeps the window current; verdict discarded
             return []
         alerts = self._check(snap)
         if alerts:
-            self._quiet = self.cooldown
+            self._quiet = self.COOLDOWN
         return alerts
 
-    # -- subclass hooks ------------------------------------------------
-    def _observe(self, snap: "LiveSnapshot") -> None:
-        """Window upkeep during cooldown (default: same as checking,
-        with the verdict discarded)."""
-        self._check(snap)
-
+    # -- subclass hook -------------------------------------------------
     def _check(self, snap: "LiveSnapshot") -> List[Alert]:
         raise NotImplementedError
 
 
 class _ResidualWindow(Detector):
-    """Shared plumbing: a deque of ``(t_event, residual)`` samples,
-    appended only when a snapshot carries a *new* residual reading."""
+    """Shared plumbing: a deque of the last ``WINDOW`` ``(t_event,
+    residual)`` samples, appended only when a snapshot carries a *new*
+    residual reading."""
 
-    def __init__(self, window: int = 8, cooldown: int = 10) -> None:
-        super().__init__(cooldown=cooldown)
-        if window < 3:
-            raise ValueError("window must be >= 3")
-        self.window = int(window)
-        self._series: Deque[Tuple[float, float]] = deque(maxlen=window)
+    WINDOW = 8
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._series: Deque[Tuple[float, float]] = deque(maxlen=self.WINDOW)
 
     def _push(self, snap: "LiveSnapshot") -> bool:
         """Append the snapshot's residual if it is a fresh sample;
@@ -148,35 +138,27 @@ class _ResidualWindow(Detector):
         if self._series and self._series[-1] == (snap.t_event, res):
             return False  # no new reading since the last snapshot
         self._series.append((snap.t_event, res))
-        return len(self._series) == self.window
+        return len(self._series) == self.WINDOW
 
 
 class StagnationDetector(_ResidualWindow):
     """Residual improvement over the window fell below a floor.
 
     Fires when the newest residual is no better than ``(1 -
-    min_improvement)`` times the oldest — i.e. the solve is burning
+    MIN_IMPROVEMENT)`` times the oldest — i.e. the solve is burning
     corrections without converging (the online analogue of a
     Criterion-2 run that will never meet its tolerance).
     """
 
     kind = "stagnation"
-
-    def __init__(
-        self,
-        window: int = 8,
-        min_improvement: float = 0.01,
-        cooldown: int = 10,
-    ) -> None:
-        super().__init__(window=window, cooldown=cooldown)
-        self.min_improvement = float(min_improvement)
+    MIN_IMPROVEMENT = 0.01
 
     def _check(self, snap: "LiveSnapshot") -> List[Alert]:
         if not self._push(snap):
             return []
         first = self._series[0][1]
         last = self._series[-1][1]
-        threshold = first * (1.0 - self.min_improvement)
+        threshold = first * (1.0 - self.MIN_IMPROVEMENT)
         if last >= threshold:
             return [
                 Alert(
@@ -186,8 +168,8 @@ class StagnationDetector(_ResidualWindow):
                     value=last,
                     threshold=threshold,
                     message=(
-                        f"residual improved <{self.min_improvement:.1%} over the "
-                        f"last {self.window} samples ({first:.3g} -> {last:.3g})"
+                        f"residual improved <{self.MIN_IMPROVEMENT:.1%} over the "
+                        f"last {self.WINDOW} samples ({first:.3g} -> {last:.3g})"
                     ),
                 )
             ]
@@ -195,25 +177,19 @@ class StagnationDetector(_ResidualWindow):
 
 
 class DivergenceDetector(_ResidualWindow):
-    """Residual grew by ``growth_factor`` over its windowed minimum."""
+    """Residual grew by ``GROWTH_FACTOR`` over its windowed minimum."""
 
     kind = "divergence"
-
-    def __init__(
-        self,
-        window: int = 6,
-        growth_factor: float = 10.0,
-        cooldown: int = 5,
-    ) -> None:
-        super().__init__(window=window, cooldown=cooldown)
-        self.growth_factor = float(growth_factor)
+    WINDOW = 6
+    GROWTH_FACTOR = 10.0
+    COOLDOWN = 5
 
     def _check(self, snap: "LiveSnapshot") -> List[Alert]:
         if not self._push(snap):
             return []
         lo = min(v for _, v in self._series)
         last = self._series[-1][1]
-        threshold = lo * self.growth_factor
+        threshold = lo * self.GROWTH_FACTOR
         if lo > 0.0 and last > threshold:
             return [
                 Alert(
@@ -235,23 +211,14 @@ class DivergenceDetector(_ResidualWindow):
 class OscillationDetector(_ResidualWindow):
     """Residual alternates direction with significant amplitude.
 
-    ``min_flips`` direction changes within the window, each leg moving
-    by at least ``min_amplitude`` relatively, reads as instability —
+    ``MIN_FLIPS`` direction changes within the window, each leg moving
+    by at least ``MIN_AMPLITUDE`` relatively, reads as instability —
     the precursor of divergence under too-aggressive asynchrony.
     """
 
     kind = "oscillation"
-
-    def __init__(
-        self,
-        window: int = 8,
-        min_flips: int = 4,
-        min_amplitude: float = 0.05,
-        cooldown: int = 10,
-    ) -> None:
-        super().__init__(window=window, cooldown=cooldown)
-        self.min_flips = int(min_flips)
-        self.min_amplitude = float(min_amplitude)
+    MIN_FLIPS = 4
+    MIN_AMPLITUDE = 0.05
 
     def _check(self, snap: "LiveSnapshot") -> List[Alert]:
         if not self._push(snap):
@@ -263,66 +230,23 @@ class OscillationDetector(_ResidualWindow):
             if a <= 0.0:
                 continue
             rel = (b - a) / a
-            if abs(rel) < self.min_amplitude:
+            if abs(rel) < self.MIN_AMPLITUDE:
                 continue
             direction = 1 if rel > 0 else -1
             if prev_dir and direction != prev_dir:
                 flips += 1
             prev_dir = direction
-        if flips >= self.min_flips:
+        if flips >= self.MIN_FLIPS:
             return [
                 Alert(
                     kind=self.kind,
                     t_wall=snap.t_wall,
                     t_event=snap.t_event,
                     value=float(flips),
-                    threshold=float(self.min_flips),
+                    threshold=float(self.MIN_FLIPS),
                     message=(
                         f"residual direction flipped {flips}x (>= "
-                        f"{self.min_amplitude:.0%} legs) within {self.window} samples"
-                    ),
-                )
-            ]
-        return []
-
-
-class StalenessDetector(Detector):
-    """Observed read staleness crossed the configured delay bound δ.
-
-    The paper's convergence results assume bounded delay; crossing
-    ``delta * factor`` live means the run left the regime its
-    configuration was chosen for.  Fires again only when the observed
-    maximum grows past the last reported one.
-    """
-
-    kind = "staleness_spike"
-
-    def __init__(self, delta: float, factor: float = 1.0, cooldown: int = 5) -> None:
-        super().__init__(cooldown=cooldown)
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        self.delta = float(delta)
-        self.factor = float(factor)
-        self._reported = 0.0
-
-    def _observe(self, snap: "LiveSnapshot") -> None:
-        pass  # no window to maintain
-
-    def _check(self, snap: "LiveSnapshot") -> List[Alert]:
-        bound = self.delta * self.factor
-        observed = snap.staleness_max
-        if observed > bound and observed > self._reported:
-            self._reported = observed
-            return [
-                Alert(
-                    kind=self.kind,
-                    t_wall=snap.t_wall,
-                    t_event=snap.t_event,
-                    value=observed,
-                    threshold=bound,
-                    message=(
-                        f"max read staleness {observed:g} epochs exceeds the "
-                        f"delta bound {bound:g}"
+                        f"{self.MIN_AMPLITUDE:.0%} legs) within {self.WINDOW} samples"
                     ),
                 )
             ]
@@ -334,23 +258,19 @@ class HeartbeatGapDetector(Detector):
 
     Judged on the collector's wall clock from ``heartbeat_age`` (time
     since each worker's last recorded event): an outlier is a worker
-    whose age exceeds ``factor`` times the median peer age and the
-    absolute floor ``min_gap_s``.  Fires once per quiet spell per
+    whose age exceeds ``FACTOR`` times the median peer age and the
+    absolute floor ``MIN_GAP_S``.  Fires once per quiet spell per
     worker; a worker that resumes recording re-arms its alarm.
     """
 
     kind = "heartbeat_gap"
+    FACTOR = 5.0
+    MIN_GAP_S = 0.5
+    COOLDOWN = 0
 
-    def __init__(
-        self, factor: float = 5.0, min_gap_s: float = 0.5, cooldown: int = 0
-    ) -> None:
-        super().__init__(cooldown=cooldown)
-        self.factor = float(factor)
-        self.min_gap_s = float(min_gap_s)
+    def __init__(self) -> None:
+        super().__init__()
         self._flagged: Dict[Union[int, str], bool] = {}
-
-    def _observe(self, snap: "LiveSnapshot") -> None:
-        pass
 
     def _check(self, snap: "LiveSnapshot") -> List[Alert]:
         ages = snap.heartbeat_age
@@ -358,7 +278,7 @@ class HeartbeatGapDetector(Detector):
             return []
         ordered = sorted(ages.values())
         median = ordered[len(ordered) // 2]
-        threshold = max(self.min_gap_s, self.factor * median)
+        threshold = max(self.MIN_GAP_S, self.FACTOR * median)
         alerts: List[Alert] = []
         for worker, age in ages.items():
             if age > threshold:
@@ -382,17 +302,3 @@ class HeartbeatGapDetector(Detector):
             else:
                 self._flagged[worker] = False
         return alerts
-
-
-def default_detectors(delta: Optional[float] = None) -> List[Detector]:
-    """The stock panel: stagnation + divergence + oscillation +
-    heartbeat gaps, plus the staleness check when a δ bound is given."""
-    dets: List[Detector] = [
-        StagnationDetector(),
-        DivergenceDetector(),
-        OscillationDetector(),
-        HeartbeatGapDetector(),
-    ]
-    if delta is not None:
-        dets.append(StalenessDetector(delta))
-    return dets

@@ -188,14 +188,18 @@ class TraceAnalyzer:
         )
 
     # -- human-readable report --------------------------------------------
-    def oneline(self, dropped: int, workers: int) -> str:
+    def oneline(self, dropped: int) -> str:
         """The one-line digest ``repro solve --trace`` prints; ring
-        drops and worker buffers are the tracer's, not the stream's."""
+        drops are the tracer's, not the stream's.  A worker is one that
+        recorded a correction, so neither the run-end ``kernel`` events
+        nor the live collector's alerts count as one."""
         stal = self.staleness()
         waits = self.lock_waits()
+        corrections = self._of(CORRECT_END)
+        workers = len({e.worker for e in corrections})
         return (
             f"trace: {len(self.events)} events ({dropped} dropped) from "
-            f"{workers} worker(s), {len(self._of(CORRECT_END))} corrections over "
+            f"{workers} worker(s), {len(corrections)} corrections over "
             f"{self.span():g} {self.clock}; staleness max/mean = "
             f"{max(stal, default=0.0):g}/{float(np.mean(stal)) if stal else 0.0:.2f}; "
             f"lock-wait total/max = {sum(waits):.3g}/{max(waits, default=0.0):.3g} s"

@@ -52,11 +52,10 @@ kind               meaning of ``a`` / ``b`` / ``tag``
                    :mod:`repro.observe.alerts`); ``a`` = observed
                    value, ``b`` = the threshold it crossed, ``tag`` =
                    alert kind (``stagnation``, ``divergence``,
-                   ``oscillation``, ``staleness_spike``,
-                   ``heartbeat_gap``); ``grid`` is the implicated grid
-                   (−1 when run-wide).  Recorded from the live
-                   snapshot collector's own buffer (worker ``"live"``),
-                   never from a solve thread.
+                   ``oscillation``, ``heartbeat_gap``); ``grid`` is
+                   the implicated grid (−1 when run-wide).  Recorded
+                   from the live snapshot collector's own buffer
+                   (worker ``"live"``), never from a solve thread.
 =================  ====================================================
 
 The ``t`` field follows the recording backend's clock (see the

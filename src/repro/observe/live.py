@@ -39,7 +39,7 @@ import json
 import re
 import threading
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (
     Any,
@@ -51,9 +51,19 @@ from typing import (
     Optional,
     Tuple,
     Union,
+    get_args,
+    get_origin,
+    get_type_hints,
 )
 
-from .alerts import Alert, Detector, default_detectors
+from .alerts import (
+    Alert,
+    Detector,
+    DivergenceDetector,
+    HeartbeatGapDetector,
+    OscillationDetector,
+    StagnationDetector,
+)
 from .events import (
     ALERT,
     CORRECT_END,
@@ -124,68 +134,39 @@ class LiveSnapshot:
     worker_grids: Dict[WorkerKey, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        d: Dict[str, Any] = {
-            "seq": self.seq,
-            "t_wall": self.t_wall,
-            "t_event": self.t_event,
-            "clock": self.clock,
-            "backend": self.backend,
-            "residual": None if self.residual != self.residual else self.residual,
-            "residual_tag": self.residual_tag,
-            "corrections": {str(k): v for k, v in self.corrections.items()},
-            "corrections_total": self.corrections_total,
-            "staleness_last": self.staleness_last,
-            "staleness_max": self.staleness_max,
-            "lock_wait_total": self.lock_wait_total,
-            "events_seen": self.events_seen,
-            "events_dropped": self.events_dropped,
-            "workers": self.workers,
-            "guard_counts": dict(self.guard_counts),
-            "fault_counts": dict(self.fault_counts),
-            "alert_counts": dict(self.alert_counts),
-            "last_alert": self.last_alert,
-            "queue_depth": (
-                None if self.queue_depth != self.queue_depth else self.queue_depth
-            ),
-            "membership": dict(self.membership),
-            "heartbeat_age": {str(k): v for k, v in self.heartbeat_age.items()},
-            "worker_grids": {str(k): v for k, v in self.worker_grids.items()},
-        }
+        """JSON-ready fields in declaration order: NaN becomes None and
+        mapping keys become strings."""
+        d: Dict[str, Any] = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, dict):
+                v = {str(k): x for k, x in v.items()}
+            elif isinstance(v, float) and v != v:
+                v = None
+            d[f.name] = v
         return d
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "LiveSnapshot":
-        res = d.get("residual")
-        qd = d.get("queue_depth")
-        return cls(
-            seq=int(d.get("seq", 0)),
-            t_wall=float(d.get("t_wall", 0.0)),
-            t_event=float(d.get("t_event", 0.0)),
-            clock=str(d.get("clock", "s")),
-            backend=str(d.get("backend", "")),
-            residual=float("nan") if res is None else float(res),
-            residual_tag=str(d.get("residual_tag", "")),
-            corrections={int(k): float(v) for k, v in d.get("corrections", {}).items()},
-            corrections_total=float(d.get("corrections_total", 0.0)),
-            staleness_last=float(d.get("staleness_last", -1.0)),
-            staleness_max=float(d.get("staleness_max", 0.0)),
-            lock_wait_total=float(d.get("lock_wait_total", 0.0)),
-            events_seen=int(d.get("events_seen", 0)),
-            events_dropped=int(d.get("events_dropped", 0)),
-            workers=int(d.get("workers", 0)),
-            guard_counts={str(k): int(v) for k, v in d.get("guard_counts", {}).items()},
-            fault_counts={str(k): int(v) for k, v in d.get("fault_counts", {}).items()},
-            alert_counts={str(k): int(v) for k, v in d.get("alert_counts", {}).items()},
-            last_alert=str(d.get("last_alert", "")),
-            queue_depth=float("nan") if qd is None else float(qd),
-            membership={str(k): int(v) for k, v in d.get("membership", {}).items()},
-            heartbeat_age={
-                str(k): float(v) for k, v in d.get("heartbeat_age", {}).items()
-            },
-            worker_grids={
-                str(k): int(v) for k, v in d.get("worker_grids", {}).items()
-            },
-        )
+        """Inverse of :meth:`to_dict`; a missing key keeps its default
+        and worker keys stay strings."""
+        kw: Dict[str, Any] = {}
+        for f in fields(cls):
+            if f.name not in d:
+                continue
+            v, typ = d[f.name], _SNAPSHOT_TYPES[f.name]
+            if get_origin(typ) is dict:
+                key_t, val_t = get_args(typ)
+                key_t = key_t if key_t in (int, str) else str
+                kw[f.name] = {key_t(k): val_t(x) for k, x in v.items()}
+            elif v is None:
+                kw[f.name] = float("nan")
+            else:
+                kw[f.name] = typ(v)
+        return cls(**kw)
+
+
+_SNAPSHOT_TYPES: Dict[str, Any] = get_type_hints(LiveSnapshot)
 
 
 class SnapshotCollector:
@@ -214,7 +195,14 @@ class SnapshotCollector:
         self.interval_s = float(interval_s)
         self.backend = backend
         self.detectors: List[Detector] = (
-            detectors if detectors is not None else default_detectors()
+            detectors
+            if detectors is not None
+            else [
+                StagnationDetector(),
+                DivergenceDetector(),
+                OscillationDetector(),
+                HeartbeatGapDetector(),
+            ]
         )
         self.on_snapshot = on_snapshot
         self.on_alert = on_alert
@@ -539,20 +527,21 @@ def parse_openmetrics(
 
 OPENMETRICS_CONTENT_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
+#: longest a scrape waits for its collection before answering 503, seconds
+SCRAPE_TIMEOUT_S = 2.0
 
-def reply_scrape(
-    handler: BaseHTTPRequestHandler, render: Callable[[], str], timeout_s: float
-) -> None:
+
+def reply_scrape(handler: BaseHTTPRequestHandler, render: Callable[[], str]) -> None:
     """Answer one ``GET /metrics`` with the OpenMetrics text ``render()``
     returns — the one bounded scrape path of every metrics endpoint.
 
-    The collection runs on a helper thread joined with ``timeout_s``: a
-    stalled ``collect()`` provider (one that blocks instead of raising;
-    raising providers are already skipped by :meth:`Metrics.collect`)
-    yields a prompt **503** with ``Retry-After: 1`` instead of a scrape
-    that hangs until the monitoring system gives up.  The helpers are
-    daemons, so a permanently wedged provider can never prevent
-    interpreter shutdown.
+    The collection runs on a helper thread joined with
+    :data:`SCRAPE_TIMEOUT_S`: a stalled ``collect()`` provider (one
+    that blocks instead of raising; raising providers are already
+    skipped by :meth:`Metrics.collect`) yields a prompt **503** with
+    ``Retry-After: 1`` instead of a scrape that hangs until the
+    monitoring system gives up.  The helpers are daemons, so a
+    permanently wedged provider can never prevent interpreter shutdown.
     """
     box: List[bytes] = []
 
@@ -561,7 +550,7 @@ def reply_scrape(
 
     helper = threading.Thread(target=_collect, name="repro-metrics-collect", daemon=True)
     helper.start()
-    helper.join(timeout=timeout_s)
+    helper.join(timeout=SCRAPE_TIMEOUT_S)
     if box:
         handler.send_response(200)
         handler.send_header("Content-Type", OPENMETRICS_CONTENT_TYPE)
@@ -590,28 +579,19 @@ class MetricsServer:
     """
 
     def __init__(
-        self,
-        collector: SnapshotCollector,
-        port: int,
-        host: str = "127.0.0.1",
-        collect_timeout_s: float = 2.0,
+        self, collector: SnapshotCollector, port: int, host: str = "127.0.0.1"
     ) -> None:
         collector_ref = collector
-        if collect_timeout_s <= 0:
-            raise ValueError("collect_timeout_s must be positive")
-        timeout_s = float(collect_timeout_s)
 
         class _Handler(BaseHTTPRequestHandler):
-            timeout = timeout_s  # socket read timeout (slow/wedged client)
+            timeout = SCRAPE_TIMEOUT_S  # socket read timeout (slow/wedged client)
 
             def do_GET(self) -> None:  # noqa: N802 - http.server API
                 if self.path.split("?", 1)[0] != "/metrics":
                     self.send_response(404)
                     self.end_headers()
                     return
-                reply_scrape(
-                    self, lambda: to_openmetrics(collector_ref.collect_once()), timeout_s
-                )
+                reply_scrape(self, lambda: to_openmetrics(collector_ref.collect_once()))
 
             def log_message(self, format: str, *args: Any) -> None:
                 pass  # scrape logs stay out of solver stdout
@@ -795,8 +775,6 @@ class LiveConfig:
     interval_s: float = 0.1
     metrics_port: Optional[int] = None  # None = no endpoint; 0 = ephemeral
     snapshot_path: Optional[str] = None  # JSONL stream for headless runs
-    detectors: Optional[List[Detector]] = None  # None → default_detectors(delta)
-    delta: Optional[float] = None  # staleness bound for the spike detector
     alert_stop: FrozenSet[str] = frozenset()  # alert kinds that abort the run
     profile: bool = False
 
@@ -876,11 +854,6 @@ def start_live(
     executor's ``stop_event.set``) so the existing guard/termination
     machinery winds the run down.
     """
-    detectors = (
-        config.detectors
-        if config.detectors is not None
-        else default_detectors(config.delta)
-    )
     session_box: List[LiveSession] = []
 
     def on_alert(alert: Alert) -> None:
@@ -900,7 +873,6 @@ def start_live(
     collector = SnapshotCollector(
         tracer,
         interval_s=config.interval_s,
-        detectors=detectors,
         backend=backend,
         on_snapshot=writer.write if writer is not None else None,
         on_alert=on_alert,

@@ -7,7 +7,7 @@ the complementary live question — where are the solve threads
 from a low-rate daemon thread.  No ``sys.setprofile``, no per-call
 bookkeeping on the hot path: the solve threads are never touched,
 only observed, so the overhead is the sampler's own work (a dict walk
-every ``interval_s``, 5 ms by default).
+every :attr:`SamplingProfiler.INTERVAL_S`, 5 ms).
 
 Attribution: each sampled thread is mapped to its ``(worker, grid)``
 via the tracer's thread registry (:meth:`Tracer.worker_threads`); its
@@ -159,12 +159,12 @@ class SamplingProfiler:
     engine still gets kernel-level attribution.
     """
 
-    def __init__(self, tracer: "Tracer", interval_s: float = 0.005) -> None:
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
+    #: seconds between stack samples
+    INTERVAL_S = 0.005
+
+    def __init__(self, tracer: "Tracer") -> None:
         self.tracer = tracer
-        self.interval_s = float(interval_s)
-        self.report = ProfileReport(interval_s=float(interval_s))
+        self.report = ProfileReport(interval_s=self.INTERVAL_S)
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._t0 = 0.0
@@ -210,7 +210,7 @@ class SamplingProfiler:
         return attributed
 
     def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
+        while not self._stop.wait(self.INTERVAL_S):
             self.sample_once()
 
     # -- lifecycle -----------------------------------------------------

@@ -130,8 +130,10 @@ class Tracer:
     a :class:`~repro.observe.analyze.TraceAnalyzer` over its result.
     """
 
-    def __init__(self, capacity: int = 1 << 16, clock: str = "s") -> None:
-        self.capacity = int(capacity)
+    #: records each worker's ring keeps (the oldest are overwritten first)
+    CAPACITY = 1 << 16
+
+    def __init__(self, clock: str = "s") -> None:
         self.clock = clock
         self._buffers: Dict[WorkerKey, TraceBuffer] = {}
         self._thread_worker: Dict[int, Tuple[WorkerKey, int]] = {}
@@ -152,7 +154,7 @@ class Tracer:
     def buffer(self, worker: WorkerKey) -> TraceBuffer:
         buf = self._buffers.get(worker)
         if buf is None:
-            buf = self._buffers.setdefault(worker, TraceBuffer(worker, self.capacity))
+            buf = self._buffers.setdefault(worker, TraceBuffer(worker, self.CAPACITY))
         return buf
 
     def register_worker(self, grid: int, worker: Optional[WorkerKey] = None) -> None:

@@ -32,13 +32,20 @@ satellite fix gives :class:`~repro.distributed.NetworkModel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .telemetry import FaultTelemetry
 
-__all__ = ["CrashFault", "StallFault", "FaultPlan", "FaultInjector", "parse_fault_spec"]
+__all__ = [
+    "CrashFault",
+    "StallFault",
+    "FaultPlan",
+    "FaultInjector",
+    "parse_fault_spec",
+    "split_clauses",
+]
 
 _CORRUPTION_MODES = ("nan", "inf", "scale")
 
@@ -121,6 +128,32 @@ class FaultPlan:
         return self.active
 
 
+def split_clauses(
+    spec: str, what: str
+) -> Iterator[Tuple[str, str, Optional[str], Dict[str, str]]]:
+    """Tokenize a compact CLI spec into ``(clause, kind, positional,
+    opts)`` per ``;``-separated clause ``kind:tok,tok,...``: ``opts``
+    holds the ``key=value`` tokens and ``positional`` the one bare
+    token, if any.  A second bare token raises :class:`ValueError`
+    naming the ``what`` clause."""
+    for raw in spec.split(";"):
+        clause = raw.strip()
+        if not clause:
+            continue
+        kind, _, rest = clause.partition(":")
+        opts: Dict[str, str] = {}
+        positional: Optional[str] = None
+        for tok in filter(None, (t.strip() for t in rest.split(","))):
+            if "=" in tok:
+                key, _, val = tok.partition("=")
+                opts[key.strip()] = val.strip()
+            elif positional is None:
+                positional = tok
+            else:
+                raise ValueError(f"cannot parse {what} clause {clause!r}")
+        yield clause, kind.strip().lower(), positional, opts
+
+
 def parse_fault_spec(spec: str, seed: int = 0) -> FaultPlan:
     """Parse the CLI's compact fault spec into a :class:`FaultPlan`.
 
@@ -138,22 +171,7 @@ def parse_fault_spec(spec: str, seed: int = 0) -> FaultPlan:
     crashes: List[CrashFault] = []
     stalls: List[StallFault] = []
     kw: Dict[str, object] = {}
-    for raw in spec.split(";"):
-        clause = raw.strip()
-        if not clause:
-            continue
-        kind, _, rest = clause.partition(":")
-        kind = kind.strip().lower()
-        opts: Dict[str, str] = {}
-        positional: Optional[str] = None
-        for tok in filter(None, (t.strip() for t in rest.split(","))):
-            if "=" in tok:
-                key, _, val = tok.partition("=")
-                opts[key.strip()] = val.strip()
-            elif positional is None:
-                positional = tok
-            else:
-                raise ValueError(f"cannot parse fault clause {clause!r}")
+    for clause, kind, positional, opts in split_clauses(spec, "fault"):
         try:
             if kind in ("crash", "stall"):
                 if positional is not None and "@" in positional:

@@ -9,14 +9,14 @@ admission time, before they consume queue depth or worker cycles.
 
 State machine, per fingerprint::
 
-    CLOSED --[failure_threshold consecutive failures]--> OPEN
-    OPEN   --[reset_timeout_s elapsed]-->                HALF_OPEN
+    CLOSED --[FAILURE_THRESHOLD consecutive failures]--> OPEN
+    OPEN   --[RESET_TIMEOUT_S elapsed]-->                HALF_OPEN
     HALF_OPEN: exactly one probe job is admitted;
                probe success --> CLOSED (counters reset)
                probe failure --> OPEN   (timer restarts)
 
 Successes in CLOSED reset the consecutive-failure counter, so a flaky
-operator must fail ``failure_threshold`` times *in a row* to trip.
+operator must fail ``FAILURE_THRESHOLD`` times *in a row* to trip.
 All clocks are caller-supplied ``perf_counter`` values — the breaker
 itself never reads time, which keeps it deterministic under test.
 """
@@ -24,7 +24,7 @@ itself never reads time, which keeps it deterministic under test.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 __all__ = ["CLOSED", "OPEN", "HALF_OPEN", "BreakerDecision", "CircuitBreaker"]
@@ -55,17 +55,20 @@ class _Entry:
     fast_fails: int = 0
 
 
-@dataclass
 class CircuitBreaker:
     """Registry of per-fingerprint breaker entries (thread-safe)."""
 
-    failure_threshold: int = 3
-    reset_timeout_s: float = 0.25
-    _entries: Dict[str, _Entry] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
-    #: (perf_counter, fingerprint, from_state, to_state) transition log —
-    #: the chaos test asserts open *and* re-close were both observed.
-    transitions: List[Tuple[float, str, str, str]] = field(default_factory=list)
+    #: consecutive operator-attributed failures that trip the breaker
+    FAILURE_THRESHOLD = 3
+    #: open → half-open probe delay, seconds
+    RESET_TIMEOUT_S = 0.25
+
+    def __init__(self) -> None:
+        self._entries: Dict[str, _Entry] = {}
+        self._lock = threading.Lock()
+        #: (perf_counter, fingerprint, from_state, to_state) transition log —
+        #: the chaos test asserts open *and* re-close were both observed.
+        self.transitions: List[Tuple[float, str, str, str]] = []
 
     def _move(self, key: str, e: _Entry, to: str, now: float) -> None:
         self.transitions.append((now, key, e.state, to))
@@ -77,7 +80,7 @@ class CircuitBreaker:
             e = self._entries.setdefault(key, _Entry())
             if e.state == CLOSED:
                 return BreakerDecision(True, CLOSED)
-            if e.state == OPEN and now - e.opened_at >= self.reset_timeout_s:
+            if e.state == OPEN and now - e.opened_at >= self.RESET_TIMEOUT_S:
                 self._move(key, e, HALF_OPEN, now)
                 e.probe_in_flight = False
             if e.state == HALF_OPEN and not e.probe_in_flight:
@@ -105,7 +108,7 @@ class CircuitBreaker:
                 e.trips += 1
                 return
             e.consecutive_failures += 1
-            if e.state == CLOSED and e.consecutive_failures >= self.failure_threshold:
+            if e.state == CLOSED and e.consecutive_failures >= self.FAILURE_THRESHOLD:
                 self._move(key, e, OPEN, now)
                 e.opened_at = now
                 e.trips += 1

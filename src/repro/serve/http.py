@@ -11,10 +11,10 @@ Endpoints (stdlib ``ThreadingHTTPServer``, loopback by default):
 - ``GET /healthz`` — liveness + queue depth as JSON.
 - ``GET /stats`` — the full :meth:`SolveServer.stats` snapshot.
 - ``POST /submit`` — one solve job as JSON; blocks until the job's
-  terminal result (bounded by the job deadline plus a grace window)
-  and returns :meth:`JobResult.to_dict`.  The RHS is either an
-  explicit ``"b"`` list or a seeded ``"rhs_seed"`` (server-side
-  standard-normal draw — deterministic, per RPR003).
+  terminal result (bounded by the job deadline plus
+  :data:`SUBMIT_GRACE_S`) and returns :meth:`JobResult.to_dict`.  The
+  RHS is either an explicit ``"b"`` list or a seeded ``"rhs_seed"``
+  (server-side standard-normal draw — deterministic, per RPR003).
 
 Metric names are sanitized for the exposition (``serve.jobs.ok.acme``
 → ``serve_jobs_ok_acme``); labels are deliberately not synthesized —
@@ -33,12 +33,15 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..observe import Metrics
-from ..observe.live import reply_scrape
+from ..observe.live import SCRAPE_TIMEOUT_S, reply_scrape
 from .server import SolveServer
 
 __all__ = ["metrics_to_openmetrics", "ServeHTTPServer"]
 
 _NAME_SANITIZE_RE = re.compile(r"[^a-zA-Z0-9_:]")
+
+#: how long ``POST /submit`` waits past the job's deadline, seconds
+SUBMIT_GRACE_S = 30.0
 
 
 def _sanitize(name: str) -> str:
@@ -85,22 +88,11 @@ def metrics_to_openmetrics(metrics: Metrics) -> str:
 class ServeHTTPServer:
     """Bounded HTTP front-end over one :class:`SolveServer`."""
 
-    def __init__(
-        self,
-        server: SolveServer,
-        port: int = 0,
-        host: str = "127.0.0.1",
-        collect_timeout_s: float = 2.0,
-        submit_grace_s: float = 30.0,
-    ) -> None:
-        if collect_timeout_s <= 0 or submit_grace_s <= 0:
-            raise ValueError("timeouts must be positive")
+    def __init__(self, server: SolveServer, port: int = 0, host: str = "127.0.0.1") -> None:
         solve_server = server
-        timeout_s = float(collect_timeout_s)
-        grace_s = float(submit_grace_s)
 
         class _Handler(BaseHTTPRequestHandler):
-            timeout = max(timeout_s, grace_s)  # socket read bound
+            timeout = max(SCRAPE_TIMEOUT_S, SUBMIT_GRACE_S)  # socket read bound
 
             def _reply_json(self, code: int, obj: Dict[str, Any]) -> None:
                 body = json.dumps(obj).encode("utf-8")
@@ -113,9 +105,7 @@ class ServeHTTPServer:
             def do_GET(self) -> None:  # noqa: N802 - http.server API
                 path = self.path.split("?", 1)[0]
                 if path == "/metrics":
-                    reply_scrape(
-                        self, lambda: metrics_to_openmetrics(solve_server.metrics), timeout_s
-                    )
+                    reply_scrape(self, lambda: metrics_to_openmetrics(solve_server.metrics))
                 elif path == "/healthz":
                     self._reply_json(
                         200,
@@ -164,7 +154,7 @@ class ServeHTTPServer:
                     tenant, operator, b, **spec_kwargs
                 )
                 deadline_s = float(spec_kwargs.get("deadline_s", 5.0))
-                result = ticket.result(timeout=deadline_s + grace_s)
+                result = ticket.result(timeout=deadline_s + SUBMIT_GRACE_S)
                 if result is None:  # pragma: no cover - server bug guard
                     self._reply_json(500, {"error": "job did not terminate"})
                     return

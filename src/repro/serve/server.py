@@ -32,7 +32,7 @@ providers, read at collect time, so one ``collect()`` covers the whole
 serving stack.
 
 Every blocking primitive here is bounded (linter rule RPR013): an idle
-worker waits on the admission queue for at most ``backoff_base_s``
+worker waits on the admission queue for at most ``BACKOFF_BASE_S``
 (then re-admits the retries now due), an offer wakes one waiting
 worker and ``close()`` wakes them all, and shutdown joins carry
 timeouts, so ``stop()`` cannot hang even mid-overload.
@@ -98,6 +98,14 @@ _BREAKER_FAULT_CAUSES = frozenset({"divergence", "guard_trip"})
 #: every job's columns are screened by the default guard
 _GUARD = GuardPolicy()
 
+#: first retry backoff, seconds (doubling per attempt); also the
+#: longest an idle worker waits before it looks for retries now due
+BACKOFF_BASE_S = 0.01
+#: each backoff is stretched by a seeded draw from [1, 1 + BACKOFF_JITTER)
+BACKOFF_JITTER = 0.5
+#: terminal results retained for inspection (bounded ring)
+RESULT_HISTORY = 4096
+
 
 @dataclass
 class ServeConfig:
@@ -108,28 +116,15 @@ class ServeConfig:
     high_water: Optional[int] = None
     #: max same-operator jobs coalesced into one blocked solve (1 = off)
     batch_max: int = 8
-    smoother: str = "jacobi"
-    #: consecutive operator-attributed failures that trip the breaker
-    failure_threshold: int = 3
-    #: open → half-open probe delay, seconds
-    reset_timeout_s: float = 0.25
-    #: first retry backoff, seconds; also the longest an idle worker
-    #: waits before it looks for retries now due
-    backoff_base_s: float = 0.01
-    backoff_jitter: float = 0.5
     #: per-tenant fault plans (chaos/injection); each job derives its
     #: own seeded injector from its tenant's plan
     fault_plans: Dict[str, FaultPlan] = field(default_factory=dict)
     #: seeds the backoff-jitter stream (RPR003: no unseeded RNG)
     seed: int = 0
-    #: terminal results retained for inspection (bounded ring)
-    result_history: int = 4096
 
     def __post_init__(self) -> None:
         if self.workers < 1 or self.batch_max < 1:
             raise ValueError("workers and batch_max must be >= 1")
-        if self.backoff_base_s <= 0 or self.backoff_jitter < 0:
-            raise ValueError("backoff_base_s must be > 0, jitter >= 0")
 
 
 class SolveServer:
@@ -143,17 +138,14 @@ class SolveServer:
         self.admission = AdmissionQueue(
             max_depth=self.config.max_depth, high_water=self.config.high_water
         )
-        self.breaker = CircuitBreaker(
-            failure_threshold=self.config.failure_threshold,
-            reset_timeout_s=self.config.reset_timeout_s,
-        )
+        self.breaker = CircuitBreaker()
         self._operators: Dict[str, OperatorRef] = {}
         self._solvers: Dict[str, AdditiveMultigrid] = {}
         self._injectors: Dict[int, FaultInjector] = {}
         self._retries: List[Tuple[float, Job]] = []
         self._state_lock = threading.Lock()  # operators/solvers/injectors/retries/workers
         self._metrics_lock = threading.Lock()  # serializes multi-writer bumps
-        self._results: Deque[JobResult] = deque(maxlen=self.config.result_history)
+        self._results: Deque[JobResult] = deque(maxlen=RESULT_HISTORY)
         self._rng = np.random.default_rng(self.config.seed)
         self._stop = threading.Event()
         self._worker_threads: List[threading.Thread] = []
@@ -312,7 +304,7 @@ class SolveServer:
         once a fault-plan crash killed it mid-job (its successor already
         runs, see :meth:`_process_group`)."""
         crashed = False
-        wait_s = self.config.backoff_base_s
+        wait_s = BACKOFF_BASE_S
         while not crashed and not self._stop.is_set():
             job = self.admission.take(timeout=wait_s)
             group = [] if job is None else [job] + self.admission.take_matching(
@@ -339,10 +331,10 @@ class SolveServer:
     def _readmit_due_retries(self) -> float:
         """Re-admit the retries now due; return how long the caller may
         then wait for work: until the next retry comes due, at most
-        ``backoff_base_s``.  No retry comes due sooner than that after
+        :data:`BACKOFF_BASE_S`.  No retry comes due sooner than that after
         it is scheduled, so an idle worker never sleeps through one."""
         now = perf_counter()
-        wait_s = self.config.backoff_base_s
+        wait_s = BACKOFF_BASE_S
         with self._state_lock:
             due = [job for t, job in self._retries if t <= now]
             if due:
@@ -424,11 +416,7 @@ class SolveServer:
         # large sizes, and cached_setup_hierarchy already dedups
         # concurrent same-key builds (first insertion wins).
         hierarchy = cached_setup_hierarchy(ref.A, ref.options)
-        built = Multadd(
-            hierarchy,
-            smoother=self.config.smoother,
-            **ref.solver_kwargs,  # type: ignore[arg-type]
-        )
+        built = Multadd(hierarchy, **ref.solver_kwargs)  # type: ignore[arg-type]
         with self._state_lock:
             return self._solvers.setdefault(ref.fingerprint, built)
 
@@ -475,13 +463,13 @@ class SolveServer:
         the retry out (the failed result then completes the job)."""
         if job.attempts > job.spec.retries:
             return False
-        delay = self.config.backoff_base_s * (2.0 ** (job.attempts - 1))
+        delay = BACKOFF_BASE_S * (2.0 ** (job.attempts - 1))
         with self._state_lock:
             # Checked under the lock stop() drains the retries with: a
             # retry parked after that drain would never end.
             if self._stop.is_set():
                 return False
-            delay *= 1.0 + self.config.backoff_jitter * float(self._rng.random())
+            delay *= 1.0 + BACKOFF_JITTER * float(self._rng.random())
             due = perf_counter() + delay
             if due >= job.t_deadline:
                 return False

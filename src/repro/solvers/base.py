@@ -80,13 +80,15 @@ def run_cycles(
     divergence_threshold: float,
     callback: Optional[Callable[[int, float], None]] = None,
 ) -> SolveResult:
-    """Run ``tmax`` synchronous ``method.cycle`` calls, recording
-    relative residuals; a non-finite residual or one past
+    """Run ``tmax`` (at least 1) synchronous ``method.cycle`` calls,
+    recording relative residuals; a non-finite residual or one past
     ``divergence_threshold`` ends the loop as diverged.
 
     The residual-norm recording happens *outside* the method (as in
     the paper, which never evaluates norms inside the solve loop).
     """
+    if tmax < 1:
+        raise ValueError("tmax must be >= 1")
     x = np.zeros(method.n) if x0 is None else np.array(x0, dtype=np.float64)
     res = SolveResult(x=x)
     for t in range(1, tmax + 1):
@@ -196,11 +198,8 @@ class AdditiveMultigrid(ABC):
         divergence_threshold: float = 1e6,
         callback: Optional[Callable[[int, float], None]] = None,
     ) -> SolveResult:
-        """Run ``tmax`` synchronous cycles (:func:`run_cycles`); with no
-        cycle run there is no residual, and the result reads diverged."""
-        res = run_cycles(self, b, tmax, x0, divergence_threshold, callback)
-        res.diverged = res.diverged or not np.isfinite(res.final_relres)
-        return res
+        """Run ``tmax`` synchronous cycles (:func:`run_cycles`)."""
+        return run_cycles(self, b, tmax, x0, divergence_threshold, callback)
 
     # ------------------------------------------------------------------
     # Cost accounting

@@ -39,6 +39,12 @@ def rpr003_unseeded_randomness():
     return noise, rng
 
 
+def rpr003_hash_seed(size, alpha):
+    # RPR003: a seed computed with hash(), salted per process.
+    seed = hash((size, alpha)) % 2**32
+    return np.random.default_rng(seed)
+
+
 def rpr004_wall_clock():
     # RPR004: wall-clock time in a measurement.
     start = time.time()

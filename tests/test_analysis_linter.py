@@ -64,6 +64,24 @@ class TestFixtureViolations:
         assert any("nested" in m for m in msgs)
         assert any("descending" in m for m in msgs)
 
+    def test_rpr003_hash_seed(self):
+        active, _ = lint_fixture()
+        msgs = [f.message for f in active if f.code == "RPR003"]
+        assert sum("hash()" in m for m in msgs) == 1
+
+    def test_rpr003_hash_seed_sinks(self):
+        source = (
+            "import numpy as np\n"
+            "rng = np.random.default_rng(hash('a'))\n"
+            "ss = np.random.SeedSequence(entropy=hash('b'))\n"
+            "run(seed=hash(('c', 1)) % 7)\n"
+            "cfg.seed = hash('d')\n"
+            "key = hash('e')\n"
+            "rng2 = np.random.default_rng(stable_seed('f'))\n"
+        )
+        active, _ = lint_source(source, "benchmarks/bench_x.py")
+        assert sorted(f.line for f in active if f.code == "RPR003") == [2, 3, 4, 5]
+
     def test_rpr005_both_contracts(self):
         active, _ = lint_fixture()
         msgs = [f.message for f in active if f.code == "RPR005"]

@@ -35,6 +35,12 @@ class TestCommands:
         assert main(["solve", "--set", "7pt", "--size", "8", "--tmax", "5"]) == 0
         assert "sync multadd" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode", [[], ["--run-async"]], ids=["sync", "async"])
+    def test_solve_tmax_zero_rejected(self, mode, capsys):
+        rc = main(["solve", "--set", "7pt", "--size", "6", "--tmax", "0", *mode])
+        assert rc == 2
+        assert "error: tmax must be >= 1" in capsys.readouterr().err
+
     def test_solve_async(self, capsys):
         rc = main(
             [

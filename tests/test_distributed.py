@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.perfmodel import MachineParams
 from repro.distributed import NetworkModel, simulate_distributed
+from repro.distributed.network import BANDWIDTH
 from repro.solvers import Multadd
 
 
@@ -15,37 +16,25 @@ def multadd(hier_7pt_agg):
 
 class TestNetworkModel:
     def test_transfer_time_components(self):
-        net = NetworkModel(latency=1e-6, bandwidth=1e9, jitter=0.0)
-        t = net.transfer_time(0, 1, 1e6)
-        assert t == pytest.approx(1e-6 + 1e-3)
-
-    def test_latency_matrix(self):
-        m = np.array([[0.0, 5e-6], [5e-6, 0.0]])
-        net = NetworkModel(latency_matrix=m, jitter=0.0)
-        assert net.link_latency(0, 1) == 5e-6
-
-    def test_matrix_bounds_checked(self):
-        net = NetworkModel(latency_matrix=np.zeros((2, 2)), jitter=0.0)
-        with pytest.raises(ValueError):
-            net.link_latency(0, 5)
+        net = NetworkModel(latency=1e-6, jitter=0.0)
+        t = net.transfer_time(1e6)
+        assert t == pytest.approx(1e-6 + 1e6 / BANDWIDTH)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            NetworkModel(bandwidth=0)
-        with pytest.raises(ValueError):
-            NetworkModel(latency_matrix=np.zeros((2, 3)))
-        with pytest.raises(ValueError):
             NetworkModel(latency=-1)
+        with pytest.raises(ValueError):
+            NetworkModel(jitter=-0.1)
 
     def test_jitter_only_increases(self):
-        net = NetworkModel(latency=1e-6, bandwidth=1e12, jitter=0.5, seed=1)
+        net = NetworkModel(latency=1e-6, jitter=0.5, seed=1)
         for _ in range(20):
-            assert net.transfer_time(0, 1, 0.0) >= 1e-6
+            assert net.transfer_time(0.0) >= 1e-6
 
     def test_negative_bytes_raise(self):
         net = NetworkModel()
         with pytest.raises(ValueError):
-            net.transfer_time(0, 1, -5)
+            net.transfer_time(-5)
 
 
 #: compute-bound configuration: per-correction compute time well above

@@ -160,14 +160,15 @@ class TestTracer:
         assert ev.grid == -1
         assert str(ev.worker).startswith("thread-")
 
-    def test_dropped_events_total(self):
-        tr = Tracer(capacity=2)
+    def test_dropped_events_total(self, monkeypatch):
+        monkeypatch.setattr(Tracer, "CAPACITY", 2)
+        tr = Tracer()
         for i in range(5):
             tr.record("read", 0, float(i))
         assert tr.dropped_events == 3
         an = TraceAnalyzer(tr.events(), {"clock": tr.clock})
         assert len(an.events) == 2
-        assert "(3 dropped)" in an.oneline(tr.dropped_events, len(tr.buffers()))
+        assert "(3 dropped)" in an.oneline(tr.dropped_events)
 
     def test_summary_digest(self):
         tr = Tracer(clock="steps")
@@ -179,7 +180,7 @@ class TestTracer:
         assert an.per_grid_counts() == {0: 1}
         assert an.max_staleness() == 2.0
         assert [v for _, v in an.residual_series()] == [0.5, 0.125]
-        line = an.oneline(tr.dropped_events, len(tr.buffers()))
+        line = an.oneline(tr.dropped_events)
         assert "1 corrections over 9 steps" in line
         assert "staleness max/mean = 2/2.00" in line
 

@@ -240,6 +240,23 @@ class TestCliTrace:
         ends = sum(1 for e in evs if e.kind == "correct_end")
         assert int(m.group(2)) == ends == sum(an.per_grid_counts().values()) > 0
 
+    @pytest.mark.parametrize("live", [[], ["--live"]], ids=["plain", "live"])
+    @pytest.mark.parametrize("backend", ["engine", "threaded"])
+    def test_solve_trace_digest_counts_correcting_workers(
+        self, tmp_path, capsys, backend, live
+    ):
+        # 7pt 8³ has two grids; the run-end kernel events and the live
+        # collector's alerts are filed under buffers of their own.
+        from repro.cli import main
+
+        argv = [
+            "solve", "--set", "7pt", "--size", "8", "--run-async",
+            "--backend", backend, "--tmax", "6",
+            "--trace", str(tmp_path / "solve.jsonl"), *live,
+        ]
+        assert main(argv) == 0
+        assert "from 2 worker(s)" in capsys.readouterr().out
+
     def test_solve_trace_requires_async(self, capsys):
         from repro.cli import main
 

@@ -107,6 +107,8 @@ class TestParseFaultSpec:
     def test_garbage_clause_raises(self):
         with pytest.raises(ValueError):
             parse_fault_spec("crash:1@5,2@6,3@7")
+        with pytest.raises(ValueError, match=r"^cannot parse fault clause 'crash:1@5,2@6'$"):
+            parse_fault_spec("crash:1@5,2@6")
 
 
 class TestFaultInjector:

@@ -55,6 +55,7 @@ from repro.resilience import parse_fault_spec
 from repro.serve import (
     CLOSED,
     OPEN,
+    CircuitBreaker,
     ServeConfig,
     SolveServer,
     TERMINAL_STATUSES,
@@ -70,14 +71,15 @@ def rhs(n, seed):
 
 
 class TestChaosAcceptance:
-    def test_seeded_storm_terminates_every_job(self, worker_hold):
+    def test_seeded_storm_terminates_every_job(self, worker_hold, monkeypatch):
+        # Half a second between the trip and the probe, so a slow host
+        # still fast-fails the job submitted right after the trip.
+        monkeypatch.setattr(CircuitBreaker, "RESET_TIMEOUT_S", 0.5)
         config = ServeConfig(
             workers=2,
             max_depth=8,
             high_water=6,
             batch_max=4,
-            failure_threshold=2,
-            reset_timeout_s=0.5,
             seed=42,
             fault_plans={"crashy": parse_fault_spec("crash:0@1", seed=7)},
         )
@@ -188,9 +190,9 @@ class TestChaosAcceptance:
             "flaky", p.A, solver_kwargs={"weight": p.jacobi_weight * 0.999}
         )
         # A divergence threshold below the starting residual makes a
-        # job fail attributably without a poisoned solver: two in a
-        # row trip the breaker.
-        for i in range(2):
+        # job fail attributably without a poisoned solver:
+        # FAILURE_THRESHOLD in a row trip the breaker.
+        for i in range(CircuitBreaker.FAILURE_THRESHOLD):
             res = server.submit_named(
                 "toxic", "flaky", rhs(p.n, 500 + i),
                 divergence_threshold=0.5, retries=0, deadline_s=30.0,
@@ -201,7 +203,7 @@ class TestChaosAcceptance:
             "toxic", "flaky", rhs(p.n, 510), deadline_s=30.0
         ).result(timeout=60.0)
         assert fast.status == "rejected" and fast.cause == "circuit_open"
-        time.sleep(config.reset_timeout_s + 0.05)
+        time.sleep(CircuitBreaker.RESET_TIMEOUT_S + 0.05)
         probe = server.submit_named(
             "steady", "flaky", rhs(p.n, 511), deadline_s=30.0
         ).result(timeout=60.0)

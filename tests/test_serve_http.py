@@ -9,6 +9,7 @@ import urllib.request
 import pytest
 
 from repro.observe import Metrics, parse_openmetrics
+from repro.observe import live as live_mod
 from repro.problems import build_problem
 from repro.serve import ServeConfig, ServeHTTPServer, SolveServer, metrics_to_openmetrics
 
@@ -128,7 +129,8 @@ class TestEndpoints:
 
 
 class TestStalledCollect:
-    def test_stalled_provider_yields_503_not_hang(self):
+    def test_stalled_provider_yields_503_not_hang(self, monkeypatch):
+        monkeypatch.setattr(live_mod, "SCRAPE_TIMEOUT_S", 0.2)
         server = SolveServer(ServeConfig(workers=1))
         release = threading.Event()
 
@@ -137,7 +139,7 @@ class TestStalledCollect:
             return {"late": 1.0}
 
         server.metrics.register_provider("wedged", wedged)
-        http = ServeHTTPServer(server, port=0, collect_timeout_s=0.2).start()
+        http = ServeHTTPServer(server, port=0).start()
         try:
             with pytest.raises(urllib.error.HTTPError) as err:
                 get(http.port, "/metrics")

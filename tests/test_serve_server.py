@@ -18,6 +18,7 @@ import pytest
 from repro.problems import build_problem
 from repro.resilience import parse_fault_spec
 from repro.serve import (
+    CircuitBreaker,
     Job,
     JobSpec,
     OPEN,
@@ -25,6 +26,7 @@ from repro.serve import (
     SolveServer,
     TERMINAL_STATUSES,
 )
+from repro.serve import server as server_mod
 
 
 def make_server(**kw):
@@ -96,8 +98,9 @@ class TestEndToEnd:
         assert flat["serve.slo.met.tenant-1"] == 3
         assert server.alive_threads() == []
 
-    def test_results_ring_and_stats(self):
-        server = make_server(result_history=4).start()
+    def test_results_ring_and_stats(self, monkeypatch):
+        monkeypatch.setattr(server_mod, "RESULT_HISTORY", 4)
+        server = make_server().start()
         try:
             p = build_problem("5pt", 8)
             server.register_operator("op", p.A)
@@ -320,12 +323,11 @@ class TestDegradation:
 
 
 class TestBreakerIntegration:
-    def test_poisoned_operator_trips_then_recloses_on_healthy(self):
+    def test_poisoned_operator_trips_then_recloses_on_healthy(self, monkeypatch):
         # The breaker must still be open at the fast-fail below, however
         # slowly the host runs: no half-open probe within the test.
-        server = make_server(
-            workers=1, failure_threshold=2, reset_timeout_s=60.0
-        ).start()
+        monkeypatch.setattr(CircuitBreaker, "RESET_TIMEOUT_S", 60.0)
+        server = make_server(workers=1).start()
         try:
             p = build_problem("5pt", 10)
             # weight 1.95 diverges on the 5pt operator; the default
@@ -336,7 +338,7 @@ class TestBreakerIntegration:
             )
             fp = server.operator("poison").fingerprint
             statuses = []
-            for i in range(2):
+            for i in range(CircuitBreaker.FAILURE_THRESHOLD):
                 res = server.submit_named(
                     "t", "poison", rhs(p.n, i), tmax=5, deadline_s=30.0
                 ).result(timeout=30.0)
@@ -438,17 +440,17 @@ class TestOverloadAndErrors:
             server.stop()
         assert server.metrics.flatten()["serve.batched_jobs"] == depth
 
-    def test_due_retry_takes_the_slot_a_freed_worker_leaves(self, worker_hold):
+    def test_due_retry_takes_the_slot_a_freed_worker_leaves(self, worker_hold, monkeypatch):
         # A crashed job's retry comes due while the one worker is parked
         # and the queue is full.  Once freed, the worker takes the queue
         # head first and only then re-admits the retry, into the slot
         # that take freed: the retry is not rejected as overloaded.
+        monkeypatch.setattr(server_mod, "BACKOFF_BASE_S", 0.5)
+        monkeypatch.setattr(server_mod, "BACKOFF_JITTER", 0.0)
         server = make_server(
             workers=1,
             max_depth=2,
             batch_max=1,
-            backoff_base_s=0.5,
-            backoff_jitter=0.0,
             fault_plans={"crashy": parse_fault_spec("crash:0@1", seed=3)},
         ).start()
         try:

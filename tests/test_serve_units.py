@@ -183,64 +183,72 @@ class TestAdmissionQueue:
             AdmissionQueue(max_depth=4, high_water=0)
 
 
+#: the breaker's probe delay, the unit of the caller-supplied clocks below
+RESET = CircuitBreaker.RESET_TIMEOUT_S
+
+
+def tripped(key="op", now=0.0):
+    """A breaker whose ``key`` just opened at ``now``."""
+    br = CircuitBreaker()
+    for _ in range(CircuitBreaker.FAILURE_THRESHOLD):
+        br.record_failure(key, now=now)
+    assert br.state(key) == OPEN
+    return br
+
+
 class TestCircuitBreaker:
     def test_trips_after_consecutive_failures_only(self):
-        br = CircuitBreaker(failure_threshold=3, reset_timeout_s=1.0)
-        br.record_failure("op", now=0.0)
-        br.record_failure("op", now=0.1)
-        br.record_success("op", now=0.2)  # resets the streak
-        br.record_failure("op", now=0.3)
-        br.record_failure("op", now=0.4)
+        br = CircuitBreaker()
+        streak = CircuitBreaker.FAILURE_THRESHOLD - 1
+        for i in range(streak):
+            br.record_failure("op", now=0.1 * i)
+        br.record_success("op", now=0.5)  # resets the streak
+        for i in range(streak):
+            br.record_failure("op", now=0.6 + 0.1 * i)
         assert br.state("op") == CLOSED
-        br.record_failure("op", now=0.5)
+        br.record_failure("op", now=0.9)
         assert br.state("op") == OPEN
 
     def test_open_fast_fails_until_reset_timeout(self):
-        br = CircuitBreaker(failure_threshold=1, reset_timeout_s=1.0)
-        br.record_failure("op", now=0.0)
-        d = br.allow("op", now=0.5)
+        br = tripped()
+        d = br.allow("op", now=0.5 * RESET)
         assert not d.allowed and d.state == OPEN
         assert br.snapshot()["op"]["fast_fails"] == 1
 
     def test_half_open_admits_exactly_one_probe(self):
-        br = CircuitBreaker(failure_threshold=1, reset_timeout_s=1.0)
-        br.record_failure("op", now=0.0)
-        first = br.allow("op", now=1.5)
+        br = tripped()
+        first = br.allow("op", now=1.5 * RESET)
         assert first.allowed and first.probe and first.state == HALF_OPEN
-        second = br.allow("op", now=1.6)
+        second = br.allow("op", now=1.6 * RESET)
         assert not second.allowed and second.state == HALF_OPEN
 
     def test_probe_success_recloses(self):
-        br = CircuitBreaker(failure_threshold=1, reset_timeout_s=1.0)
-        br.record_failure("op", now=0.0)
-        assert br.allow("op", now=1.5).probe
-        br.record_success("op", now=1.6)
+        br = tripped()
+        assert br.allow("op", now=1.5 * RESET).probe
+        br.record_success("op", now=1.6 * RESET)
         assert br.state("op") == CLOSED
-        assert br.allow("op", now=1.7).allowed
+        assert br.allow("op", now=1.7 * RESET).allowed
         pairs = [(frm, to) for _, key, frm, to in br.transitions if key == "op"]
         assert pairs == [(CLOSED, OPEN), (OPEN, HALF_OPEN), (HALF_OPEN, CLOSED)]
 
     def test_probe_failure_reopens_and_restarts_timer(self):
-        br = CircuitBreaker(failure_threshold=1, reset_timeout_s=1.0)
-        br.record_failure("op", now=0.0)
-        assert br.allow("op", now=1.5).probe
-        br.record_failure("op", now=1.6)
+        br = tripped()
+        assert br.allow("op", now=1.5 * RESET).probe
+        br.record_failure("op", now=1.6 * RESET)
         assert br.state("op") == OPEN
-        assert not br.allow("op", now=2.0).allowed  # timer restarted at 1.6
-        assert br.allow("op", now=2.7).probe
+        assert not br.allow("op", now=2.0 * RESET).allowed  # timer restarted at 1.6
+        assert br.allow("op", now=2.7 * RESET).probe
 
     def test_abandoned_probe_releases_slot(self):
-        br = CircuitBreaker(failure_threshold=1, reset_timeout_s=1.0)
-        br.record_failure("op", now=0.0)
-        assert br.allow("op", now=1.5).probe
+        br = tripped()
+        assert br.allow("op", now=1.5 * RESET).probe
         # The probe job ended without an operator-attributable outcome
         # (shed / crash): the slot must not leak.
         br.abandon_probe("op")
-        assert br.allow("op", now=1.6).probe
+        assert br.allow("op", now=1.6 * RESET).probe
 
     def test_keys_are_independent(self):
-        br = CircuitBreaker(failure_threshold=1, reset_timeout_s=1.0)
-        br.record_failure("bad", now=0.0)
-        assert not br.allow("bad", now=0.1).allowed
-        assert br.allow("good", now=0.1).allowed
+        br = tripped("bad")
+        assert not br.allow("bad", now=0.1 * RESET).allowed
+        assert br.allow("good", now=0.1 * RESET).allowed
         assert br.state("good") == CLOSED

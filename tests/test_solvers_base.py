@@ -56,6 +56,14 @@ class TestAdditiveBase:
         # The loop must have stopped early rather than looping on inf.
         assert res.cycles < 30
 
+    @pytest.mark.parametrize("name", ["Multadd", "AFACx", "BPX"])
+    def test_solve_rejects_tmax_below_one(self, hier_7pt_agg, b_7pt, name):
+        import repro.solvers
+
+        s = getattr(repro.solvers, name)(hier_7pt_agg)
+        with pytest.raises(ValueError, match="tmax must be >= 1"):
+            s.solve(b_7pt, tmax=0)
+
     def test_callback_invoked(self, hier_7pt_agg, b_7pt):
         s = Multadd(hier_7pt_agg, smoother="jacobi", weight=0.9)
         seen = []

@@ -14,6 +14,11 @@ class TestVcycle:
         assert res.final_relres < 1e-5
         assert not res.diverged
 
+    def test_solve_rejects_tmax_below_one(self, hier_7pt, b_7pt):
+        s = MultiplicativeMultigrid(hier_7pt, smoother="jacobi", weight=0.9)
+        with pytest.raises(ValueError, match="tmax must be >= 1"):
+            s.solve(b_7pt, tmax=0)
+
     def test_grid_independent_rate(self):
         # The defining multigrid property: rates do not degrade with n.
         from repro.amg import SetupOptions, setup_hierarchy
